@@ -20,8 +20,6 @@ const char* StatusCodeToString(StatusCode code) {
       return "Cancelled";
     case StatusCode::kDeadlineExceeded:
       return "DeadlineExceeded";
-    case StatusCode::kYielded:
-      return "Yielded";
     case StatusCode::kTenantOverQuota:
       return "TenantOverQuota";
     case StatusCode::kUnavailable:

@@ -27,10 +27,6 @@ enum class StatusCode {
   kResourceExhausted = 5,
   kCancelled = 6,
   kDeadlineExceeded = 7,
-  /// The query was preempted by the scheduler at a cooperative seam; the
-  /// interrupted fragment unwound cleanly and will run again. Never a final
-  /// query outcome — the scheduler absorbs it and resumes the query.
-  kYielded = 8,
   /// Per-tenant admission backpressure: the submission exceeds the tenant's
   /// quota (plus its borrowing allowance) or the tenant's queue is full.
   kTenantOverQuota = 9,
@@ -79,9 +75,6 @@ class Status {
   static Status DeadlineExceeded(std::string msg) {
     return Status(StatusCode::kDeadlineExceeded, std::move(msg));
   }
-  static Status Yielded(std::string msg) {
-    return Status(StatusCode::kYielded, std::move(msg));
-  }
   static Status TenantOverQuota(std::string msg) {
     return Status(StatusCode::kTenantOverQuota, std::move(msg));
   }
@@ -97,15 +90,12 @@ class Status {
   bool IsDeadlineExceeded() const {
     return code_ == StatusCode::kDeadlineExceeded;
   }
-  bool IsYielded() const { return code_ == StatusCode::kYielded; }
   bool IsTenantOverQuota() const {
     return code_ == StatusCode::kTenantOverQuota;
   }
   bool IsUnavailable() const { return code_ == StatusCode::kUnavailable; }
   /// True for the lifecycle-layer terminal statuses: the query was stopped
-  /// on purpose (cancel request or deadline), not by a fault. A yield is
-  /// deliberately NOT a lifecycle stop — it is transient scheduler state,
-  /// never a final outcome.
+  /// on purpose (cancel request or deadline), not by a fault.
   bool IsLifecycleStop() const {
     return IsCancelled() || IsDeadlineExceeded();
   }

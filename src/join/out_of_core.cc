@@ -108,7 +108,7 @@ Result<OutOfCoreRunResult> RunOutOfCoreJoin(vgpu::Device& device, JoinAlgo algo,
                              "fragment_" + std::to_string(f));
     const uint64_t up_bytes =
         HostTableBytes(r_frags[f]) + HostTableBytes(s_frags[f]);
-    device.ChargeHostTransfer(up_bytes);
+    device.ChargeHostTransfer(vgpu::TransferDirection::kHostToDevice, up_bytes);
     res.bytes_transferred += up_bytes;
 
     GPUJOIN_ASSIGN_OR_RETURN(Table rd, Table::FromHost(device, r_frags[f]));
@@ -118,7 +118,8 @@ Result<OutOfCoreRunResult> RunOutOfCoreJoin(vgpu::Device& device, JoinAlgo algo,
 
     const HostTable part = jr.output.ToHost();
     const uint64_t down_bytes = HostTableBytes(part);
-    device.ChargeHostTransfer(down_bytes);
+    device.ChargeHostTransfer(vgpu::TransferDirection::kDeviceToHost,
+                              down_bytes);
     res.bytes_transferred += down_bytes;
 
     const auto merge_t0 = std::chrono::steady_clock::now();

@@ -25,20 +25,25 @@ void RenderNode(const std::vector<Node>& nodes, int32_t id, double root_cycles,
   const Node& node = nodes[id];
   const SpanRecord& span = *node.span;
   const double parent_base = root_cycles > 0 ? root_cycles : 1;
-  if (span.duration_cycles() / parent_base < opts.min_fraction &&
+  // Rows show a span's own cycles: work nested at its seams belongs to the
+  // nested queries' own trees.
+  const double own = span.own_cycles();
+  if (own / parent_base < opts.min_fraction &&
       span.depth > 0) {
     return;
   }
 
+  const double own_ms =
+      span.nested_cycles > 0
+          ? span.duration_seconds() * 1e3 * own / span.duration_cycles()
+          : span.duration_seconds() * 1e3;
   char line[256];
   const std::string branch =
       span.parent < 0 ? "" : (last ? "└─ " : "├─ ");
   std::snprintf(line, sizeof(line),
                 "%-48s %12.0f cycles %6.1f%%  %8.3f ms  peak %.1f MB\n",
                 (indent + branch + span.category + ":" + span.name).c_str(),
-                span.duration_cycles(),
-                100.0 * span.duration_cycles() / parent_base,
-                span.duration_seconds() * 1e3,
+                own, 100.0 * own / parent_base, own_ms,
                 static_cast<double>(span.peak_bytes_end) / 1e6);
   out += line;
 
@@ -53,6 +58,12 @@ void RenderNode(const std::vector<Node>& nodes, int32_t id, double root_cycles,
     if (key.rfind("mem:", 0) == 0) continue;
     aline += (aline.empty() ? "" : " ") + key + "=" + value;
   }
+  if (span.nested_cycles > 0) {
+    char nbuf[64];
+    std::snprintf(nbuf, sizeof(nbuf), "nested_cycles=%.0f",
+                  span.nested_cycles);
+    aline += (aline.empty() ? "" : " ") + std::string(nbuf);
+  }
   if (!aline.empty()) {
     out += child_indent + "   [" + aline + "]\n";
   }
@@ -66,7 +77,7 @@ void RenderNode(const std::vector<Node>& nodes, int32_t id, double root_cycles,
     std::string kline = child_indent + "   kernels: ";
     const size_t k = std::min<size_t>(ks.size(),
                                       static_cast<size_t>(opts.top_k_kernels));
-    const double self = span.duration_cycles() > 0 ? span.duration_cycles() : 1;
+    const double self = own > 0 ? own : 1;
     for (size_t i = 0; i < k; ++i) {
       char kbuf[128];
       std::snprintf(kbuf, sizeof(kbuf), "%s%s %.1f%% x%llu",
@@ -83,20 +94,20 @@ void RenderNode(const std::vector<Node>& nodes, int32_t id, double root_cycles,
 
   double child_cycles = 0;
   for (const int32_t c : node.children) {
-    child_cycles += nodes[c].span->duration_cycles();
+    child_cycles += nodes[c].span->own_cycles();
   }
   for (size_t i = 0; i < node.children.size(); ++i) {
-    RenderNode(nodes, node.children[i], span.duration_cycles(), child_indent,
+    RenderNode(nodes, node.children[i], own, child_indent,
                i + 1 == node.children.size(), opts, out);
   }
   // Cycles not covered by structured children (only worth a line when
   // there ARE structured children and the gap is visible).
-  if (!node.children.empty() && span.duration_cycles() > 0) {
-    const double gap = span.duration_cycles() - child_cycles;
-    if (gap / span.duration_cycles() > 1e-9) {
+  if (!node.children.empty() && own > 0) {
+    const double gap = own - child_cycles;
+    if (gap / own > 1e-9) {
       std::snprintf(line, sizeof(line), "%-48s %12.0f cycles %6.1f%%\n",
                     (child_indent + "(unattributed)").c_str(), gap,
-                    100.0 * gap / span.duration_cycles());
+                    100.0 * gap / own);
       out += line;
     }
   }
@@ -132,7 +143,7 @@ std::string RenderExplain(const Tracer& tracer, const ExplainOptions& options) {
     return out;
   }
   for (const int32_t root : roots) {
-    RenderNode(nodes, root, nodes[root].span->duration_cycles(), "", true,
+    RenderNode(nodes, root, nodes[root].span->own_cycles(), "", true,
                options, out);
   }
 

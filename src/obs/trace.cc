@@ -67,7 +67,7 @@ void Tracer::CloseSpan(const vgpu::Device& device, int32_t id) {
     span.stats = delta;
     span.live_bytes_end = device.memory_stats().live_bytes;
     span.peak_bytes_end = device.memory_stats().peak_bytes;
-    if (span.category != "kernel") {
+    if (span.category != "kernel" && span.category != "transfer") {
       // Allocation-tag watermark: live bytes by tag at close, largest
       // first (capped — leak-style listings belong to LeakReport()).
       std::map<std::string, uint64_t> by_tag;
@@ -126,11 +126,50 @@ void Tracer::OnKernelEnd(const vgpu::Device& device, const char* name,
   if (id < static_cast<int32_t>(spans_.size())) spans_[id].stats = stats;
 }
 
+void Tracer::OnTransferBegin(const vgpu::Device& device,
+                             vgpu::TransferDirection dir, uint64_t bytes) {
+  if (!enabled_) return;
+  open_transfer_ = OpenSpan(device, "transfer", TransferDirectionName(dir));
+  AnnotateSpan(open_transfer_, "bytes", std::to_string(bytes));
+}
+
+void Tracer::OnTransferEnd(const vgpu::Device& device,
+                           vgpu::TransferDirection /*dir*/,
+                           uint64_t /*bytes*/) {
+  if (!enabled_ || open_transfer_ < 0) return;
+  CloseSpan(device, open_transfer_);
+  open_transfer_ = -1;
+}
+
+Tracer::SuspendedStack Tracer::Suspend(const vgpu::Device& device) {
+  SuspendedStack s;
+  s.stack = std::move(stack_);
+  stack_.clear();
+  s.start_cycles = device.elapsed_cycles();
+  s.stats = device.total_stats();
+  return s;
+}
+
+void Tracer::Resume(const vgpu::Device& device, SuspendedStack suspended) {
+  const double nested = device.elapsed_cycles() - suspended.start_cycles;
+  vgpu::KernelStats nested_stats = device.total_stats();
+  nested_stats.Sub(suspended.stats);
+  for (const int32_t id : suspended.stack) {
+    if (id < 0 || id >= static_cast<int32_t>(spans_.size())) continue;
+    spans_[id].nested_cycles += nested;
+    // The open snapshot moves forward by the nested work, so the delta
+    // taken at close covers the span's own kernels only.
+    spans_[id].stats.Add(nested_stats);
+  }
+  stack_ = std::move(suspended.stack);
+}
+
 void Tracer::Clear() {
   spans_.clear();
   events_.clear();
   stack_.clear();
   open_kernel_ = -1;
+  open_transfer_ = -1;
   epoch_ = std::chrono::steady_clock::now();
 }
 

@@ -13,7 +13,8 @@
 // Kernel-level spans are recorded automatically: the tracer implements
 // vgpu::KernelObserver, and every TraceSpan attaches the tracer to its
 // device, so each BeginKernel/EndKernel inside an open span becomes a
-// child span carrying that kernel's exact stats.
+// child span carrying that kernel's exact stats, and each host transfer a
+// "transfer:h2d" / "transfer:d2h" child span annotated with its bytes.
 //
 // Determinism contract: the tracer NEVER mutates device state — no cycles,
 // no allocations, no cache traffic. Tracing on/off leaves simulated
@@ -62,8 +63,13 @@ struct SpanRecord {
   // Free-form key/value annotations (includes the per-tag live-byte
   // breakdown "mem:<tag>" recorded at close for non-kernel spans).
   std::vector<std::pair<std::string, std::string>> attrs;
+  // Simulated cycles inside this span spent running higher-priority work
+  // nested at one of its seams (NestedTraceScope). Excluded from `stats`.
+  double nested_cycles = 0;
 
   double duration_cycles() const { return end_cycles - start_cycles; }
+  /// The span's own cycles: its duration less the nested work.
+  double own_cycles() const { return duration_cycles() - nested_cycles; }
   double duration_seconds() const { return end_seconds - start_seconds; }
 };
 
@@ -100,11 +106,29 @@ class Tracer : public vgpu::KernelObserver {
   void AddEvent(const vgpu::Device& device, std::string name,
                 std::string detail);
 
-  // vgpu::KernelObserver: kernels become leaf spans automatically.
+  // vgpu::KernelObserver: kernels and host transfers become leaf spans
+  // automatically (a transfer is "transfer:h2d" / "transfer:d2h").
   void OnKernelBegin(const vgpu::Device& device, const char* name) override;
   void OnKernelEnd(const vgpu::Device& device, const char* name,
                    const vgpu::KernelStats& stats,
                    double host_seconds) override;
+  void OnTransferBegin(const vgpu::Device& device, vgpu::TransferDirection dir,
+                       uint64_t bytes) override;
+  void OnTransferEnd(const vgpu::Device& device, vgpu::TransferDirection dir,
+                     uint64_t bytes) override;
+
+  /// The open-span stack of an interrupted query, set aside while nested
+  /// work runs (see NestedTraceScope).
+  struct SuspendedStack {
+    std::vector<int32_t> stack;
+    double start_cycles = 0;
+    vgpu::KernelStats stats;  // device.total_stats() at suspension.
+  };
+  /// Sets the open-span stack aside, so spans opened next are roots.
+  SuspendedStack Suspend(const vgpu::Device& device);
+  /// Restores a suspended stack. Every restored span records the nested
+  /// interval in nested_cycles and drops its kernel stats from its delta.
+  void Resume(const vgpu::Device& device, SuspendedStack suspended);
 
   /// All spans, in open order (ids are indices into this vector).
   const std::vector<SpanRecord>& spans() const { return spans_; }
@@ -126,6 +150,7 @@ class Tracer : public vgpu::KernelObserver {
   std::chrono::steady_clock::time_point epoch_ =
       std::chrono::steady_clock::now();
   int32_t open_kernel_ = -1;  // Kernels do not nest (device invariant).
+  int32_t open_transfer_ = -1;
 };
 
 /// RAII span on the global tracer. A no-op when tracing is disabled.
@@ -156,6 +181,32 @@ class TraceSpan {
   int32_t id_ = -1;
 };
 
+/// RAII bracket around work nested at a running query's seam (the
+/// scheduler's work-conserving preemption). Spans opened inside are roots
+/// of their own trees; on exit the interrupted query's open spans record
+/// the nested interval, so EXPLAIN credits them only their own cycles.
+/// A no-op when tracing is disabled.
+class NestedTraceScope {
+ public:
+  explicit NestedTraceScope(vgpu::Device& device) : device_(device) {
+    Tracer& t = Tracer::Global();
+    if (!t.enabled()) return;
+    active_ = true;
+    suspended_ = t.Suspend(device);
+  }
+  ~NestedTraceScope() {
+    if (active_) Tracer::Global().Resume(device_, std::move(suspended_));
+  }
+
+  NestedTraceScope(const NestedTraceScope&) = delete;
+  NestedTraceScope& operator=(const NestedTraceScope&) = delete;
+
+ private:
+  vgpu::Device& device_;
+  bool active_ = false;
+  Tracer::SuspendedStack suspended_;
+};
+
 /// Records a point event on the global tracer (no-op when disabled).
 inline void TraceInstant(vgpu::Device& device, std::string name,
                          std::string detail) {
@@ -175,10 +226,9 @@ inline Status CheckLifecycle(vgpu::Device& device) {
   Status st = device.LifecycleStatus();
   if (!st.ok()) {
     TraceInstant(device,
-                 st.IsCancelled()      ? "lifecycle:cancelled"
-                 : st.IsYielded()      ? "lifecycle:yielded"
-                 : st.IsUnavailable()  ? "lifecycle:unavailable"
-                                       : "lifecycle:deadline_exceeded",
+                 st.IsCancelled()     ? "lifecycle:cancelled"
+                 : st.IsUnavailable() ? "lifecycle:unavailable"
+                                      : "lifecycle:deadline_exceeded",
                  st.message());
   }
   return st;

@@ -57,8 +57,10 @@ Result<OperatorRunResult> VgpuProvider::RunJoin(const JoinOp& op) {
   const double t0 = dev.ElapsedSeconds();
 
   // Upload both inputs over the simulated link (one transfer setup each).
-  dev.ChargeHostTransfer(stats::EstimateDeviceBytes(*op.r));
-  dev.ChargeHostTransfer(stats::EstimateDeviceBytes(*op.s));
+  dev.ChargeHostTransfer(vgpu::TransferDirection::kHostToDevice,
+                         stats::EstimateDeviceBytes(*op.r));
+  dev.ChargeHostTransfer(vgpu::TransferDirection::kHostToDevice,
+                         stats::EstimateDeviceBytes(*op.s));
   const double t_up = dev.ElapsedSeconds();
 
   join::ResilienceOptions ropts;
@@ -68,7 +70,8 @@ Result<OperatorRunResult> VgpuProvider::RunJoin(const JoinOp& op) {
       join::RunJoinResilient(dev, op.algo, *op.r, *op.s, ropts));
   const double t_run = dev.ElapsedSeconds();
 
-  dev.ChargeHostTransfer(stats::EstimateDeviceBytes(run.output));
+  dev.ChargeHostTransfer(vgpu::TransferDirection::kDeviceToHost,
+                         stats::EstimateDeviceBytes(run.output));
   const double t_down = dev.ElapsedSeconds();
 
   OperatorRunResult res;
@@ -96,7 +99,8 @@ Result<OperatorRunResult> VgpuProvider::RunGroupBy(const GroupByOp& op) {
   const uint64_t launches0 = dev.kernels_launched();
   const double t0 = dev.ElapsedSeconds();
 
-  dev.ChargeHostTransfer(stats::EstimateDeviceBytes(*op.input));
+  dev.ChargeHostTransfer(vgpu::TransferDirection::kHostToDevice,
+                         stats::EstimateDeviceBytes(*op.input));
   GPUJOIN_ASSIGN_OR_RETURN(Table input, Table::FromHost(dev, *op.input));
   const double t_up = dev.ElapsedSeconds();
 
@@ -109,7 +113,8 @@ Result<OperatorRunResult> VgpuProvider::RunGroupBy(const GroupByOp& op) {
 
   OperatorRunResult res;
   res.output = run.run.output.ToHost();
-  dev.ChargeHostTransfer(stats::EstimateDeviceBytes(res.output));
+  dev.ChargeHostTransfer(vgpu::TransferDirection::kDeviceToHost,
+                         stats::EstimateDeviceBytes(res.output));
   const double t_down = dev.ElapsedSeconds();
 
   res.output_rows = run.run.num_groups;

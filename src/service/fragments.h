@@ -12,10 +12,10 @@
 //     fragments, so per-fragment aggregation results concatenate in
 //     fragment order into the full aggregation.
 // Each fragment runs upload → operate → download and leaves the device at
-// its entry watermark, which makes every fragment boundary a safe
-// preemption seam: an interrupted fragment unwinds with zero leaks and
-// re-runs later, bit-identically (fragment results do not depend on the
-// simulated clock).
+// its entry watermark, so fragment turns of different queries can nest:
+// higher-priority turns run at a fragment's seams and leave it exactly as
+// they found it, and fragment results never depend on the simulated
+// clock.
 //
 // A plan with fragment_bits == 0 is a single fragment aliasing the
 // caller's tables — byte-for-byte the pre-scheduler execution path.

@@ -393,9 +393,15 @@ void QueryService::RetryQueuedIdle(std::vector<Run>& batch) {
         Finalize(r, std::move(st));
         break;  // Next queued submission.
       }
-      device_.AdvanceClock(backoff_.DelayCycles(attempt));
+      Backoff(backoff_.DelayCycles(attempt));
     }
   }
+}
+
+void QueryService::Backoff(double cycles) {
+  const double t0 = device_.elapsed_cycles();
+  device_.AdvanceClock(cycles);
+  backoff_cycles_ += device_.elapsed_cycles() - t0;
 }
 
 ops::CpuxProvider& QueryService::Cpux() {
@@ -525,8 +531,9 @@ Status QueryService::RunUnit(Run& run, bool use_cpux,
     if (run.plan.fragmented()) {
       // Fragment streaming is modelled like the out-of-core path: the
       // co-fragment pair crosses PCIe up, the partial result crosses down.
-      device_.ChargeHostTransfer(join::HostTableBytes(*u.r) +
-                                 join::HostTableBytes(*u.s));
+      device_.ChargeHostTransfer(
+          vgpu::TransferDirection::kHostToDevice,
+          join::HostTableBytes(*u.r) + join::HostTableBytes(*u.s));
       GPUJOIN_RETURN_IF_ERROR(obs::CheckLifecycle(device_));
     }
     Result<join::ResilientJoinResult> jr = join::RunJoinResilient(
@@ -536,11 +543,13 @@ Status QueryService::RunUnit(Run& run, bool use_cpux,
     part = std::move(jr->output);
     part_rows = jr->output_rows;
     if (run.plan.fragmented()) {
-      device_.ChargeHostTransfer(join::HostTableBytes(part));
+      device_.ChargeHostTransfer(vgpu::TransferDirection::kDeviceToHost,
+                                 join::HostTableBytes(part));
     }
   } else if (!ran_on_cpux) {
     if (run.plan.fragmented()) {
-      device_.ChargeHostTransfer(join::HostTableBytes(*u.r));
+      device_.ChargeHostTransfer(vgpu::TransferDirection::kHostToDevice,
+                                 join::HostTableBytes(*u.r));
       GPUJOIN_RETURN_IF_ERROR(obs::CheckLifecycle(device_));
     }
     // Upload, aggregate, download. The device-resident tables must die
@@ -555,12 +564,13 @@ Status QueryService::RunUnit(Run& run, bool use_cpux,
     part = gr->run.output.ToHost();
     part_rows = gr->run.num_groups;
     if (run.plan.fragmented()) {
-      device_.ChargeHostTransfer(join::HostTableBytes(part));
+      device_.ChargeHostTransfer(vgpu::TransferDirection::kDeviceToHost,
+                                 join::HostTableBytes(part));
     }
   }
 
-  // Merge in fixed fragment order: units run (and re-run after preemption)
-  // strictly in plan order, so appending is the deterministic merge.
+  // Merge in fixed fragment order: units run (and re-run after a transient
+  // fault) strictly in plan order, so appending is the deterministic merge.
   if (!run.partial_init) {
     run.partial = std::move(part);
     run.partial_init = true;
@@ -571,8 +581,43 @@ Status QueryService::RunUnit(Run& run, bool use_cpux,
   return Status::OK();
 }
 
+double QueryService::NextPreemptAt(const std::vector<Run>& batch,
+                                   int priority) const {
+  double at = kInf;
+  for (const Run& w : batch) {
+    if (w.done || w.arrived || w.request.priority <= priority) continue;
+    at = std::min(at, w.request.arrival_cycles);
+  }
+  return at;
+}
+
+void QueryService::RunNested(std::vector<Run>& batch, Run& interrupted) {
+  QueryOutcome& out = outcomes_[interrupted.id];
+  const double start = device_.elapsed_cycles();
+  const uint64_t turns0 = turns_taken_;
+  {
+    obs::NestedTraceScope trace_scope(device_);
+    Status st = RunPasses(batch, interrupted.request.priority);
+    if (!st.ok() && nested_error_.ok()) nested_error_ = std::move(st);
+  }
+  const uint64_t nested_turns = turns_taken_ - turns0;
+  if (nested_turns == 0) return;  // The arrival queued or was rejected.
+  out.preemptions++;
+  ResolveTenant(interrupted.request.tenant).stats.preemptions++;
+  obs::MetricsRegistry::Global().CounterAdd("sched_preemptions_total",
+                                            {{"tenant", out.tenant}});
+  obs::TraceInstant(device_, "sched:preempt",
+                    "query '" + out.name + "' fragment " +
+                        std::to_string(interrupted.next_unit) +
+                        " preempted at cycle " + std::to_string(start) +
+                        ": " + std::to_string(nested_turns) +
+                        " nested turn(s) over " +
+                        std::to_string(device_.elapsed_cycles() - start) +
+                        " cycles");
+}
+
 Status QueryService::RunFragmentTurn(Run& run, std::vector<Run>& batch,
-                                     TurnResult* turn) {
+                                     double* own_cycles) {
   QueryOutcome& out = outcomes_[run.id];
   TenantState& t = ResolveTenant(run.request.tenant);
   const double turn_start = device_.elapsed_cycles();
@@ -609,25 +654,21 @@ Status QueryService::RunFragmentTurn(Run& run, std::vector<Run>& batch,
     return Status::OK();
   }
 
-  if (run.resume_pending) {
-    run.resume_pending = false;
-    obs::TraceInstant(device_, "sched:resume",
-                      "query '" + out.name + "' resumes fragment " +
-                          std::to_string(run.next_unit) + " after preemption");
-  }
-
-  // Arm the preemption point: the earliest future arrival that outranks
-  // this query trips a kYielded unwind at the first seam past it.
+  // Arm the preemption point: at the first seam at or after the earliest
+  // future arrival that outranks this query, the device runs the arrived
+  // higher tiers nested, and this fragment then continues where it
+  // stopped. The nested interval is not this query's work.
+  double nested_cycles = 0;
   if (sched_.interleave) {
-    double preempt_at = kInf;
-    for (const Run& w : batch) {
-      if (w.done || w.arrived) continue;
-      if (w.request.priority <= run.request.priority) continue;
-      preempt_at = std::min(preempt_at, w.request.arrival_cycles);
-    }
-    if (preempt_at > turn_start && preempt_at < kInf) {
-      run.control.set_yield_at_cycles(preempt_at);
-    }
+    run.control.set_preempt_hook([this, &batch, &run, &nested_cycles] {
+      const double t0 = device_.elapsed_cycles();
+      RunNested(batch, run);
+      nested_cycles += device_.elapsed_cycles() - t0;
+      run.control.set_preempt_at_cycles(
+          NextPreemptAt(batch, run.request.priority));
+    });
+    run.control.set_preempt_at_cycles(
+        NextPreemptAt(batch, run.request.priority));
   }
 
   std::string backend_label;
@@ -664,10 +705,9 @@ Status QueryService::RunFragmentTurn(Run& run, std::vector<Run>& batch,
     vgpu::LifecycleScope scope(device_, run.control);
     st = RunUnit(run, use_cpux, &executed);
   }
-  // Disarm the preemption triggers; clears a kYielded trip (including one
-  // that fired on the fragment's final clock advance after its work was
-  // already complete) without touching cancel/deadline state.
-  run.control.ClearYield();
+  run.control.set_preempt_hook(nullptr);
+  run.control.set_preempt_at_cycles(kInf);
+  ++turns_taken_;
   if (st.ok() && run.plan.fragmented()) {
     // Mirror the out-of-core stream: a deadline/cancel that tripped during
     // the fragment's download fails the query at this seam rather than one
@@ -676,16 +716,17 @@ Status QueryService::RunFragmentTurn(Run& run, std::vector<Run>& batch,
     if (run.control.tripped()) st = run.control.status();
   }
 
-  const double turn_cycles = device_.elapsed_cycles() - turn_start;
-  turn->cycles = turn_cycles;
+  const double turn_cycles =
+      device_.elapsed_cycles() - turn_start - nested_cycles;
+  *own_cycles = turn_cycles;
   out.run_cycles += turn_cycles;
   t.stats.run_cycles += turn_cycles;
   out.fragment_turns++;
   out.kernels_launched = run.control.kernels_launched();
 
-  // The leak-audit contract: whatever the outcome — success, preemption,
-  // cancellation, deadline, OOM — a fragment turn must leave the device at
-  // its entry watermark.
+  // The leak-audit contract: whatever the outcome — success, cancellation,
+  // deadline, OOM, with or without nested turns — a fragment turn must
+  // leave the device at its entry watermark.
   const uint64_t live = device_.memory_stats().live_bytes;
   reg.CounterAdd("service_leak_check_total",
                  {{"outcome", live == baseline_live ? "clean" : "leak"}});
@@ -732,23 +773,9 @@ Status QueryService::RunFragmentTurn(Run& run, std::vector<Run>& batch,
                             std::to_string(run.next_unit) + " retry " +
                             std::to_string(run.transient_retries) + " on " +
                             kind + " (" + st.message() + ")");
-      device_.AdvanceClock(backoff_.DelayCycles(run.transient_retries));
-      // next_unit stays put: the fragment re-runs on a later turn, like a
-      // preempted fragment (but without the resume instant).
+      Backoff(backoff_.DelayCycles(run.transient_retries));
+      // next_unit stays put: the fragment re-runs on a later turn.
     }
-  } else if (st.IsYielded()) {
-    // Preempted: the fragment unwound cleanly and stays at the front of
-    // the query's plan; the scheduler re-runs it after the preemptor.
-    turn->yielded = true;
-    run.resume_pending = true;
-    out.preemptions++;
-    t.stats.preemptions++;
-    reg.CounterAdd("sched_preemptions_total", {{"tenant", out.tenant}});
-    obs::TraceInstant(device_, "sched:preempt",
-                      "query '" + out.name + "' yielded fragment " +
-                          std::to_string(run.next_unit) + " at cycle " +
-                          std::to_string(device_.elapsed_cycles()) + ": " +
-                          st.message());
   } else {
     Finalize(run, std::move(st));
     AdmitQueuedAfterRelease(batch);
@@ -814,7 +841,8 @@ void QueryService::RecordTerminal(const QueryOutcome& out) {
   }
 }
 
-Status QueryService::DrainBatch(std::vector<Run>& batch) {
+Status QueryService::RunPasses(std::vector<Run>& batch,
+                               std::optional<int> floor) {
   uint64_t pass = 0;
   const double quantum = std::max(sched_.quantum_cycles, 1.0);
   for (;;) {
@@ -829,6 +857,7 @@ Status QueryService::DrainBatch(std::vector<Run>& batch) {
         next_arrival = std::min(next_arrival, r.request.arrival_cycles);
         continue;
       }
+      if (floor && r.request.priority <= *floor) continue;
       if (r.reserved) {
         runnable.push_back(&r);
       } else {
@@ -837,6 +866,9 @@ Status QueryService::DrainBatch(std::vector<Run>& batch) {
     }
 
     if (runnable.empty()) {
+      // A nested pass runs what is runnable now and returns; waiting is
+      // the interrupted query's turn to use the device.
+      if (floor) break;
       if (next_arrival < kInf) {
         const double now = device_.elapsed_cycles();
         if (next_arrival > now) {
@@ -847,6 +879,7 @@ Status QueryService::DrainBatch(std::vector<Run>& batch) {
           obs::MetricsRegistry::Global().CounterAdd(
               "sched_idle_advances_total");
           device_.AdvanceClock(next_arrival - now);
+          idle_cycles_ += device_.elapsed_cycles() - now;
         }
         continue;
       }
@@ -881,7 +914,7 @@ Status QueryService::DrainBatch(std::vector<Run>& batch) {
 
     if (sched_.interleave && members.size() > 1) {
       if (memory_starved_above()) {
-        // Shortest-remaining-first, sticky across yield-broken passes:
+        // Shortest-remaining-first, sticky across broken passes:
         // the most advanced member keeps the focus until it frees its
         // reservation, instead of re-rotating to a fresh member and
         // stretching the starved waiter's latency.
@@ -922,16 +955,14 @@ Status QueryService::DrainBatch(std::vector<Run>& batch) {
       }
       while (!q->done && (!sched_.interleave || q->deficit > 0 ||
                           memory_starved_above())) {
-        TurnResult turn;
-        GPUJOIN_RETURN_IF_ERROR(RunFragmentTurn(*q, batch, &turn));
-        if (sched_.interleave) q->deficit -= turn.cycles;
-        if (turn.yielded) {
-          break_pass = true;  // A higher-priority arrival is due.
-          break;
-        }
+        double turn_cycles = 0;
+        GPUJOIN_RETURN_IF_ERROR(RunFragmentTurn(*q, batch, &turn_cycles));
+        GPUJOIN_RETURN_IF_ERROR(nested_error_);
+        if (sched_.interleave) q->deficit -= turn_cycles;
         // The turn may have admitted queued work or reached an arrival
-        // that outranks this tier; if so, restart the pass on the new
-        // tier immediately.
+        // that outranks this tier (one due at the turn's last cycle, or
+        // during a cpux turn that advances no clock); if so, restart the
+        // pass on the new tier immediately.
         ProcessArrivals(batch);
         for (const Run& r : batch) {
           if (!r.done && r.arrived && r.reserved &&
@@ -953,7 +984,8 @@ Status QueryService::DrainBatch(std::vector<Run>& batch) {
 Status QueryService::Drain() {
   std::vector<Run> batch = std::move(pending_);
   pending_.clear();
-  Status st = DrainBatch(batch);
+  nested_error_ = Status::OK();
+  Status st = RunPasses(batch, std::nullopt);
   if (!st.ok()) {
     // Broken invariant: unwind the remaining reservations and queue counts
     // so the budget is consistent, then surface the error.

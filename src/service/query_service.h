@@ -21,12 +21,16 @@
 // lifecycle seams (service/fragments.h) and a deficit-weighted round-robin
 // — weighted by each query's reserved bytes — interleaves fragments of all
 // runnable queries, so a long scan cannot starve short lookups. Strict
-// priority tiers ride on top: a higher-priority arrival preempts the
-// running query at its next cooperative seam (kernel boundary, allocation,
-// clock advance) through the kYielded lifecycle trip; the interrupted
-// fragment unwinds with zero leaks and re-runs after the high-priority
-// work, bit-identically. Reservations are released on EVERY exit path, so
-// the budget always returns to zero once the service drains.
+// priority tiers ride on top, and preemption is work-conserving: when a
+// higher-priority query arrives while a fragment runs, the device calls
+// the fragment's preemption hook at its next seam (a kernel boundary, or
+// inside a host transfer / clock advance exactly at the arrival cycle),
+// the hook runs the arrived higher tiers to completion nested on the same
+// device, and the interrupted fragment then continues where it stopped —
+// nothing is discarded or re-run. Only queries that already hold their
+// admission reservation run nested, so memory resident at the same time
+// stays within the budget. Reservations are released on EVERY exit path,
+// so the budget always returns to zero once the service drains.
 //
 // Determinism: fragment decomposition, quota arithmetic, deficit updates,
 // and preemption points are all functions of host-side estimates and the
@@ -73,7 +77,7 @@ struct QueryLifecycleOptions {
   /// it is a latency deadline, not a device-time budget.
   double deadline_cycles = 0;
   /// Test knob: trip the cancel token when the Nth kernel of this query
-  /// launches (1-based; 0 = disarmed; counts across fragment resumptions).
+  /// launches (1-based; 0 = disarmed; counts across the query's fragments).
   /// Mirrors GPUJOIN_CANCEL_AT_KERNEL.
   uint64_t cancel_at_kernel = 0;
 };
@@ -114,8 +118,8 @@ struct QueryRequest {
   /// named in ServiceOptions::tenants get an implicit full-budget quota.
   std::string tenant;
   /// Strict priority tier: the scheduler only runs fragments of the
-  /// highest tier present, and a higher-priority arrival preempts the
-  /// running query at its next lifecycle seam. Default 0 (batch).
+  /// highest tier present, and a higher-priority arrival runs nested at
+  /// the running query's next seam. Default 0 (batch).
   int priority = 0;
   /// Simulated-cycle arrival time. A submission whose arrival lies in the
   /// future is DEFERRED: it models an asynchronous Submit racing a running
@@ -148,7 +152,6 @@ struct QueryOutcome {
   /// kResourceExhausted (post-ladder or admission), kTenantOverQuota
   /// (admission backpressure), kUnavailable (transient faults exhausted the
   /// service retry limit), or the rejection for kRejected queries.
-  /// Never kYielded — yields are absorbed by the scheduler.
   Status status = Status::OK();
   /// Result rows, downloaded to host (empty unless status is OK). For a
   /// fragmented query, fragment partials concatenated in fixed fragment
@@ -169,11 +172,14 @@ struct QueryOutcome {
   uint64_t borrowed_bytes = 0;
 
   // --- Scheduling telemetry (simulated cycles) ---
-  /// Fragments in the plan / fragment turns actually executed (turns can
-  /// exceed the plan size when preempted fragments re-run).
+  /// Fragments in the plan / fragment turns actually executed. Preemption
+  /// never re-runs a fragment, so the two are equal unless a transient
+  /// fault re-ran one (or the query stopped early).
   int fragments_total = 0;
   int fragment_turns = 0;
-  /// Times a fragment of this query was preempted (kYielded unwind).
+  /// Times a fragment of this query was interrupted at a seam while
+  /// higher-priority turns ran nested (a seam where the arrival could not
+  /// run — queued or rejected — does not count).
   int preemptions = 0;
   /// Fragment re-executions after a transient fault (kUnavailable) that
   /// exhausted the ladder's own retry budget.
@@ -187,8 +193,10 @@ struct QueryOutcome {
   double finished_at_cycles = 0;
   /// started - submitted (admission + queue + arrival wait).
   double wait_cycles = 0;
-  /// Cycles the query actually occupied the device (sum of its turns,
-  /// including turns that were preempted and re-run).
+  /// Cycles of the query's own work: the sum of its turns, less any
+  /// higher-priority turns nested inside them. With the service's idle and
+  /// backoff cycles, the run_cycles of all outcomes sum to the clock
+  /// advance of a Drain.
   double run_cycles = 0;
   /// Kernels launched while the query's lifecycle control was installed.
   uint64_t kernels_launched = 0;
@@ -310,6 +318,12 @@ class QueryService {
   /// counts against the metrics registry.
   const BackendHealth& health() const { return health_; }
 
+  /// Simulated cycles the drain advanced the clock with nothing runnable
+  /// (waiting for the next arrival), and cycles spent in admission-retry
+  /// and transient-retry backoff, since construction.
+  double idle_cycles() const { return idle_cycles_; }
+  double backoff_cycles() const { return backoff_cycles_; }
+
  private:
   /// Scheduler-side state of one not-yet-finished submission.
   struct Run {
@@ -324,18 +338,11 @@ class QueryService {
     bool reserved = false;  // holds a budget reservation
     bool started = false;   // first fragment turn taken
     bool done = false;      // terminal outcome recorded
-    bool resume_pending = false;  // last turn was preempted
-    int transient_retries = 0;    // kUnavailable re-executions so far
+    int transient_retries = 0;  // kUnavailable re-executions so far
     vgpu::LifecycleControl control;
     HostTable partial;
     uint64_t partial_rows = 0;
     bool partial_init = false;
-  };
-
-  struct TurnResult {
-    bool yielded = false;
-    /// Simulated cycles the turn consumed (charged against the deficit).
-    double cycles = 0;
   };
 
   stats::MemoryEstimate Estimate(const QueryRequest& request) const;
@@ -349,7 +356,20 @@ class QueryService {
   bool TryReserve(Run& run);
   void ReleaseReservation(Run& run);
 
-  Status DrainBatch(std::vector<Run>& batch);
+  /// Scheduling passes until nothing more can run. The top-level drain
+  /// (`floor` unset) also advances the clock to the next arrival and paces
+  /// queued admissions. A nested pass (`floor` set) runs only tiers above
+  /// `floor`, at the current clock, and returns as soon as none of them is
+  /// runnable — it never advances the clock idly.
+  Status RunPasses(std::vector<Run>& batch, std::optional<int> floor);
+  /// The preemption hook body: a nested pass over the tiers above
+  /// `interrupted`'s, run at one of its fragment's seams.
+  void RunNested(std::vector<Run>& batch, Run& interrupted);
+  /// The earliest future arrival that outranks `priority` (infinity when
+  /// none): the preemption point armed for a turn at that tier.
+  double NextPreemptAt(const std::vector<Run>& batch, int priority) const;
+  /// Advances the clock by a backoff delay and accounts it.
+  void Backoff(double cycles);
   /// Classifies an arrived submission: reserve (admit), queue under the
   /// global and tenant queue limits, or reject with backpressure.
   void AdmitOrQueue(Run& run);
@@ -364,9 +384,11 @@ class QueryService {
   /// exhausts get a structured backpressure outcome.
   void RetryQueuedIdle(std::vector<Run>& batch);
   /// Runs one fragment turn of `run` (arming the preemption point), and
-  /// merges / requeues / finalizes according to the turn's status.
-  /// Returns Internal on a broken invariant (leak), OK otherwise.
-  Status RunFragmentTurn(Run& run, std::vector<Run>& batch, TurnResult* turn);
+  /// merges / retries / finalizes according to the turn's status.
+  /// `own_cycles` receives the turn's cycles less nested higher-priority
+  /// work. Returns Internal on a broken invariant (leak), OK otherwise.
+  Status RunFragmentTurn(Run& run, std::vector<Run>& batch,
+                         double* own_cycles);
   /// One fragment body: upload → operate → download on the current unit
   /// (or a host-side cpux run when `use_cpux`, with vgpu OOM fallback).
   /// `executed` reports the backend the unit actually ran on (differs from
@@ -403,6 +425,13 @@ class QueryService {
   std::map<std::string, TenantState> tenants_;
   std::vector<Run> pending_;
   std::vector<QueryOutcome> outcomes_;
+  double idle_cycles_ = 0;
+  double backoff_cycles_ = 0;
+  /// Fragment turns taken since construction (nested ones included).
+  uint64_t turns_taken_ = 0;
+  /// First broken invariant met inside a nested pass, which cannot return
+  /// it through the device's hook; the enclosing pass returns it.
+  Status nested_error_;
 };
 
 }  // namespace gpujoin::service

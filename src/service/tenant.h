@@ -48,10 +48,12 @@ struct TenantStats {
   /// subset of `rejected`.
   uint64_t over_quota = 0;
   uint64_t completed = 0;
-  /// Fragment turns of this tenant's queries that were preempted.
+  /// Times a fragment turn of this tenant's queries ran higher-priority
+  /// turns nested at one of its seams.
   uint64_t preemptions = 0;
   /// Simulated cycles the tenant's queries spent waiting (admission to
-  /// first fragment) and running (sum of fragment turns).
+  /// first fragment) and running (their own turn cycles, nested
+  /// higher-priority turns excluded).
   double wait_cycles = 0;
   double run_cycles = 0;
 };

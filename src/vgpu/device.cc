@@ -6,6 +6,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <ctime>
+#include <limits>
 #include <map>
 #include <mutex>
 #include <thread>
@@ -295,6 +296,7 @@ Status Device::Reset() {
 
 void Device::BeginKernel(const char* name) {
   assert(!in_kernel_ && "kernels do not nest");
+  PreemptIfDue(/*launching_kernel=*/true);
   in_kernel_ = true;
   ++kernels_launched_;
   kernel_name_ = name;
@@ -494,17 +496,76 @@ void Device::set_parallel_sim(int threads) {
   pool_.reset();  // Lazily recreated at the new size on first use.
 }
 
-void Device::ChargeHostTransfer(uint64_t bytes) {
+void Device::PreemptIfDue(bool launching_kernel) {
+  LifecycleControl* control = lifecycle_;
+  if (control == nullptr ||
+      !control->PreemptDue(elapsed_cycles_, launching_kernel)) {
+    return;
+  }
+  std::vector<std::string> tags = std::move(alloc_tag_stack_);
+  alloc_tag_stack_.clear();
+  Status pending_fault = std::move(fault_status_);
+  fault_status_ = Status::OK();
+  lifecycle_ = nullptr;
+  control->RunPreemptHook();
+  lifecycle_ = control;
+  fault_status_ = std::move(pending_fault);
+  alloc_tag_stack_ = std::move(tags);
+}
+
+void Device::AdvanceInterruptible(double cycles, const TransferDirection* dir,
+                                  uint64_t bytes) {
+  assert(!in_kernel_ && "clock advance inside a kernel");
+  PreemptIfDue(/*launching_kernel=*/false);
   const double bytes_per_cycle = config_.pcie_gbps / config_.clock_ghz;
-  elapsed_cycles_ +=
-      static_cast<double>(bytes) / bytes_per_cycle + config_.pcie_latency_cycles;
-  if (lifecycle_ != nullptr) lifecycle_->OnClockAdvance(elapsed_cycles_);
+  // Bytes moved `c` cycles into the transfer: none during the latency.
+  const auto moved_by = [&](double c) {
+    const double b = (c - config_.pcie_latency_cycles) * bytes_per_cycle;
+    return b <= 0 ? uint64_t{0}
+                  : std::min(bytes, static_cast<uint64_t>(b));
+  };
+  double charged = 0;
+  uint64_t moved = 0;
+  for (;;) {
+    const double at =
+        lifecycle_ != nullptr ? lifecycle_->preempt_at_cycles()
+                              : std::numeric_limits<double>::infinity();
+    const bool split = at > elapsed_cycles_ &&
+                       at < elapsed_cycles_ + (cycles - charged) &&
+                       lifecycle_->PreemptDue(at, false);
+    const double piece = split ? at - elapsed_cycles_ : cycles - charged;
+    const uint64_t piece_bytes =
+        split ? moved_by(charged + piece) - moved : bytes - moved;
+    if (dir != nullptr && observer_ != nullptr) {
+      observer_->OnTransferBegin(*this, *dir, piece_bytes);
+    }
+    // Unsplit, this is exactly `elapsed += cycles`; a split lands on the
+    // armed cycle itself, so the hook is due.
+    if (split) {
+      elapsed_cycles_ = at;
+    } else if (piece > 0) {
+      elapsed_cycles_ += piece;
+    }
+    if (dir != nullptr && observer_ != nullptr) {
+      observer_->OnTransferEnd(*this, *dir, piece_bytes);
+    }
+    if (lifecycle_ != nullptr) lifecycle_->OnClockAdvance(elapsed_cycles_);
+    if (!split) return;
+    charged += piece;
+    moved += piece_bytes;
+    PreemptIfDue(/*launching_kernel=*/false);
+  }
+}
+
+void Device::ChargeHostTransfer(TransferDirection dir, uint64_t bytes) {
+  const double bytes_per_cycle = config_.pcie_gbps / config_.clock_ghz;
+  AdvanceInterruptible(static_cast<double>(bytes) / bytes_per_cycle +
+                           config_.pcie_latency_cycles,
+                       &dir, bytes);
 }
 
 void Device::AdvanceClock(double cycles) {
-  assert(!in_kernel_ && "AdvanceClock inside a kernel");
-  if (cycles > 0) elapsed_cycles_ += cycles;
-  if (lifecycle_ != nullptr) lifecycle_->OnClockAdvance(elapsed_cycles_);
+  AdvanceInterruptible(cycles, nullptr, 0);
 }
 
 }  // namespace gpujoin::vgpu

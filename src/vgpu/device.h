@@ -248,7 +248,9 @@ class Device {
   }
 
   /// Advances the simulated clock outside a kernel (retry backoff sleeps).
-  /// Deadline checks observe the new time immediately.
+  /// Deadline checks observe the new time immediately. A preemption point
+  /// armed inside the interval runs its hook exactly at the armed cycle;
+  /// the rest of the interval is charged afterwards.
   void AdvanceClock(double cycles);
 
   // --- Memory-access hooks (call only between Begin/EndKernel) ---
@@ -314,9 +316,13 @@ class Device {
   int parallel_sim_threads() const { return sim_threads_; }
 
   /// Advances the simulated clock by a host <-> device transfer of `bytes`
-  /// over the PCIe model (bandwidth + fixed latency). Not a kernel; used by
-  /// the out-of-core join to charge fragment staging.
-  void ChargeHostTransfer(uint64_t bytes);
+  /// over the PCIe model (fixed latency, then bandwidth). Not a kernel; used
+  /// by fragment staging and the operator providers. The observer sees each
+  /// uninterrupted piece as a transfer bracket. A preemption point armed
+  /// inside the transfer runs its hook exactly at the armed cycle and the
+  /// rest of the transfer is charged afterwards, so the transfer's total
+  /// cycles and bytes do not change.
+  void ChargeHostTransfer(TransferDirection dir, uint64_t bytes);
 
   // --- Determinism control ---
 
@@ -346,6 +352,21 @@ class Device {
 
  private:
   class ParallelPool;
+
+  /// Runs the installed control's preemption hook if it is due. The hook
+  /// runs with no control installed, no allocation-tag frames, and no
+  /// pending transient fault; all three are restored when it returns, so
+  /// the nested work neither inherits nor leaves behind the interrupted
+  /// query's state.
+  void PreemptIfDue(bool launching_kernel);
+
+  /// Advances the clock by `cycles` outside a kernel, stopping exactly at
+  /// an armed preemption point to run the hook. When `dir` is set, each
+  /// uninterrupted piece is reported to the observer as a transfer of its
+  /// share of `bytes` (the fixed latency is charged before any byte
+  /// moves).
+  void AdvanceInterruptible(double cycles, const TransferDirection* dir,
+                            uint64_t bytes);
 
   /// Folds one finished block into the device engine: stats added, shard
   /// residents replayed LRU-first (silent installs — no stats). Called in

@@ -1,5 +1,6 @@
 // Query lifecycle control for the simulated device: cooperative
-// cancellation and simulated-cycle deadlines.
+// cancellation, simulated-cycle deadlines, and the preemption hook a
+// scheduler uses to run higher-priority work at the query's seams.
 //
 // A LifecycleControl is installed on a Device for the duration of one query
 // (non-owning, like KernelObserver). The device consults it at every kernel
@@ -23,6 +24,7 @@
 #define GPUJOIN_VGPU_LIFECYCLE_H_
 
 #include <cstdint>
+#include <functional>
 #include <limits>
 #include <memory>
 #include <string>
@@ -100,38 +102,51 @@ class LifecycleControl {
   void set_cancel_at_kernel(uint64_t nth) { cancel_at_kernel_ = nth; }
   uint64_t cancel_at_kernel() const { return cancel_at_kernel_; }
 
-  // --- Preemption (scheduler yield) ---
+  // --- Work-conserving preemption ---
   //
-  // A yield trip turns the sticky status into kYielded at the next
-  // cooperative seam — same unwind discipline as a cancellation (every
-  // allocation freed, device back at its entry watermark) but NOT terminal:
-  // the scheduler clears the trip with ClearYield() and re-runs the
-  // interrupted fragment later. Cancel and deadline always outrank a
-  // pending yield (a dead query must not be resumed).
+  // A scheduler installs a hook that runs higher-priority work nested on
+  // the same device. The device calls it at the first preemption seam at
+  // or after the armed point: a kernel boundary (before the bracket
+  // opens), or inside a host transfer / clock advance exactly at the
+  // armed cycle. The hook runs with no control installed and returns with
+  // the device exactly as it found it apart from the clock; the
+  // interrupted query then continues where it stopped. Cancel and deadline
+  // are evaluated as usual once the control is back.
 
-  /// Trips kYielded once the simulated clock passes `cycles` (absolute).
+  /// Installs (or, with an empty function, removes) the preemption hook.
+  void set_preempt_hook(std::function<void()> hook) {
+    preempt_hook_ = std::move(hook);
+  }
+
+  /// Arms the hook for the first seam at or after `cycles` (absolute).
   /// Infinity (the default) disarms. The scheduler arms this with the
-  /// arrival time of the next higher-priority query before each fragment.
-  void set_yield_at_cycles(double cycles) { yield_at_cycles_ = cycles; }
-  double yield_at_cycles() const { return yield_at_cycles_; }
+  /// arrival time of the next higher-priority query.
+  void set_preempt_at_cycles(double cycles) { preempt_at_cycles_ = cycles; }
+  double preempt_at_cycles() const { return preempt_at_cycles_; }
 
-  /// Test knob mirroring cancel_at_kernel: trips kYielded when the Nth
-  /// kernel (1-based, counted since installation or Rearm) launches.
-  /// 0 = disarmed. Lets tests force a preemption at every kernel seam.
-  void set_yield_at_kernel(uint64_t nth) { yield_at_kernel_ = nth; }
-  uint64_t yield_at_kernel() const { return yield_at_kernel_; }
+  /// Test knob mirroring cancel_at_kernel: runs the hook when the Nth
+  /// kernel (1-based, counted since installation or Rearm) is about to
+  /// launch. 0 = disarmed. Lets tests preempt at every kernel seam.
+  void set_preempt_at_kernel(uint64_t nth) { preempt_at_kernel_ = nth; }
 
-  /// True while the sticky status is a yield (the control is preempted,
-  /// not dead).
-  bool yielded() const { return status_.IsYielded(); }
+  /// True when the device should run the hook now: a hook is installed,
+  /// and the clock reached the armed point or (`launching_kernel`) the
+  /// next launch is the knob's kernel.
+  bool PreemptDue(double elapsed_cycles, bool launching_kernel) const {
+    if (!preempt_hook_) return false;
+    if (launching_kernel && preempt_at_kernel_ != 0 &&
+        kernels_launched_ + 1 == preempt_at_kernel_) {
+      return true;
+    }
+    return elapsed_cycles >= preempt_at_cycles_;
+  }
 
-  /// Clears a kYielded trip and disarms both yield triggers so the query
-  /// can resume; kernel counters and cancel/deadline state are untouched.
-  /// No-op unless the current sticky status is a yield.
-  void ClearYield() {
-    yield_at_cycles_ = std::numeric_limits<double>::infinity();
-    yield_at_kernel_ = 0;
-    if (status_.IsYielded()) status_ = Status::OK();
+  /// Runs the hook once. Both triggers are disarmed first, so the hook
+  /// fires again only if it re-arms them.
+  void RunPreemptHook() {
+    preempt_at_cycles_ = std::numeric_limits<double>::infinity();
+    preempt_at_kernel_ = 0;
+    preempt_hook_();
   }
 
   /// Kernels launched while this control was installed.
@@ -142,14 +157,15 @@ class LifecycleControl {
   const Status& status() const { return status_; }
   bool tripped() const { return !status_.ok(); }
 
-  /// Clears the trip state, the kernel counter, and any armed yield
-  /// triggers for reuse by a new query (the token and deadline are caller
-  /// state and are left untouched).
+  /// Clears the trip state, the kernel counter, and the preemption hook
+  /// and its triggers for reuse by a new query (the token and deadline are
+  /// caller state and are left untouched).
   void Rearm() {
     status_ = Status::OK();
     kernels_launched_ = 0;
-    yield_at_cycles_ = std::numeric_limits<double>::infinity();
-    yield_at_kernel_ = 0;
+    preempt_hook_ = nullptr;
+    preempt_at_cycles_ = std::numeric_limits<double>::infinity();
+    preempt_at_kernel_ = 0;
   }
 
   // --- Device-side hooks (called by vgpu::Device; not for query code) ---
@@ -161,9 +177,6 @@ class LifecycleControl {
     if (cancel_at_kernel_ != 0 && kernels_launched_ == cancel_at_kernel_) {
       token_.RequestCancel("cancelled at kernel boundary " +
                            std::to_string(kernels_launched_));
-    }
-    if (yield_at_kernel_ != 0 && kernels_launched_ == yield_at_kernel_) {
-      yield_at_cycles_ = -std::numeric_limits<double>::infinity();
     }
     Evaluate(elapsed_cycles);
   }
@@ -188,13 +201,6 @@ class LifecycleControl {
           std::to_string(elapsed_cycles) + " cycles elapsed, deadline " +
           std::to_string(deadline_.cycles) + " (after " +
           std::to_string(kernels_launched_) + " kernel(s))");
-      return;
-    }
-    if (elapsed_cycles >= yield_at_cycles_) {
-      status_ = Status::Yielded(
-          "preempted at seam: " + std::to_string(elapsed_cycles) +
-          " cycles elapsed, yield point " + std::to_string(yield_at_cycles_) +
-          " (after " + std::to_string(kernels_launched_) + " kernel(s))");
     }
   }
 
@@ -202,8 +208,9 @@ class LifecycleControl {
   CancelToken token_;
   Deadline deadline_;
   uint64_t cancel_at_kernel_ = 0;
-  uint64_t yield_at_kernel_ = 0;
-  double yield_at_cycles_ = std::numeric_limits<double>::infinity();
+  std::function<void()> preempt_hook_;
+  double preempt_at_cycles_ = std::numeric_limits<double>::infinity();
+  uint64_t preempt_at_kernel_ = 0;
   uint64_t kernels_launched_ = 0;
   Status status_;
 };

@@ -299,7 +299,8 @@ TEST(OutOfCoreJoinTest, AllAlgorithmsAgree) {
 TEST(OutOfCoreJoinTest, TransferChargesAdvanceTheClock) {
   vgpu::Device device = MakeTestDevice();
   const double t0 = device.ElapsedSeconds();
-  device.ChargeHostTransfer(25'000'000);  // 25 MB at 25 GB/s ~ 1 ms.
+  device.ChargeHostTransfer(vgpu::TransferDirection::kHostToDevice,
+                            25'000'000);  // 25 MB at 25 GB/s ~ 1 ms.
   const double dt = device.ElapsedSeconds() - t0;
   EXPECT_NEAR(dt, 1e-3, 2e-4);
 }

@@ -12,6 +12,10 @@
 // same kernel with the same clock on every run, and an installed control
 // with no token/deadline armed leaves simulated results bit-identical to
 // no control at all.
+// The preemption hook gets the same sweep: for every kernel boundary k, a
+// second query runs nested at k and the interrupted one still completes
+// with its baseline rows and zero leaks; a preemption point inside a host
+// transfer splits it exactly there without changing its total.
 
 #include <gtest/gtest.h>
 
@@ -218,6 +222,64 @@ TEST(DeviceLifecycleTest, LifecycleScopeRestoresPrevious) {
   device.set_lifecycle(nullptr);
 }
 
+/// Records each transfer piece the device reports.
+class TransferRecorder : public KernelObserver {
+ public:
+  struct Piece {
+    TransferDirection dir;
+    uint64_t bytes;
+    double begin, end;
+  };
+  void OnKernelBegin(const Device&, const char*) override {}
+  void OnKernelEnd(const Device&, const char*, const KernelStats&,
+                   double) override {}
+  void OnTransferBegin(const Device& device, TransferDirection dir,
+                       uint64_t bytes) override {
+    pieces.push_back({dir, bytes, device.elapsed_cycles(), 0});
+  }
+  void OnTransferEnd(const Device& device, TransferDirection,
+                     uint64_t) override {
+    pieces.back().end = device.elapsed_cycles();
+  }
+  std::vector<Piece> pieces;
+};
+
+TEST(DeviceLifecycleTest, TransferSplitsExactlyAtThePreemptionPoint) {
+  constexpr uint64_t kBytes = 25'000'000;
+  Device solo = MakeTestDevice();
+  solo.ChargeHostTransfer(TransferDirection::kHostToDevice, kBytes);
+  const double total = solo.elapsed_cycles();
+
+  Device device = MakeTestDevice();
+  TransferRecorder recorder;
+  device.set_kernel_observer(&recorder);
+  LifecycleControl control;
+  const double at = total / 3;
+  double fired_at = -1;
+  control.set_preempt_at_cycles(at);
+  control.set_preempt_hook([&] {
+    fired_at = device.elapsed_cycles();
+    device.AdvanceClock(1000);  // Nested work.
+  });
+  {
+    LifecycleScope scope(device, control);
+    device.ChargeHostTransfer(TransferDirection::kHostToDevice, kBytes);
+  }
+  device.set_kernel_observer(nullptr);
+  EXPECT_EQ(fired_at, at);
+  ASSERT_EQ(recorder.pieces.size(), 2u);
+  EXPECT_EQ(recorder.pieces[0].begin, 0);
+  EXPECT_EQ(recorder.pieces[0].end, at);
+  EXPECT_EQ(recorder.pieces[1].begin, at + 1000);
+  // The transfer's charged cycles and bytes are unchanged by the split.
+  EXPECT_NEAR(device.elapsed_cycles(), total + 1000, 1e-6);
+  EXPECT_EQ(recorder.pieces[0].bytes + recorder.pieces[1].bytes, kBytes);
+  EXPECT_GT(recorder.pieces[0].bytes, 0u);
+  // The hook disarmed itself: a later transfer is not split.
+  device.ChargeHostTransfer(TransferDirection::kDeviceToHost, 1024);
+  EXPECT_EQ(recorder.pieces.size(), 2u);  // Observer detached.
+}
+
 TEST(DeviceLifecycleTest, ConstructorInstallIsEquivalentToSetter) {
   LifecycleControl control;
   control.set_cancel_at_kernel(1);
@@ -325,6 +387,52 @@ void ExhaustiveCancellationSweep(const char* label, const RunQuery& run_query) {
   }
 }
 
+/// The preemption protocol: for every kernel boundary k, the control's
+/// hook runs at k (the preempt-at-kernel knob) and runs a whole second copy
+/// of the query nested on the same device. The hook must see no control
+/// and no allocation-tag frames, leave the device at its entry watermark,
+/// and the interrupted query must then finish with its baseline rows, its
+/// own kernel count, and zero leaks.
+template <typename RunQuery>
+void ExhaustivePreemptionSweep(const char* label, const RunQuery& run_query) {
+  const BaselineRun base = RunBaseline(run_query);
+  ASSERT_GT(base.kernels, 0u) << label;
+
+  for (uint64_t k = 1; k <= base.kernels; ++k) {
+    SCOPED_TRACE(std::string(label) + " preempted at kernel boundary " +
+                 std::to_string(k));
+    Device device = MakeTestDevice();
+    LifecycleControl control;
+    control.set_preempt_at_kernel(k);
+    int fired = 0;
+    Rows nested;
+    control.set_preempt_hook([&] {
+      ++fired;
+      EXPECT_EQ(device.lifecycle(), nullptr);
+      const uint64_t live = device.memory_stats().live_bytes;
+      Result<Rows> rows = run_query(device);
+      ASSERT_TRUE(rows.ok()) << rows.status().ToString();
+      nested = std::move(rows).value();
+      EXPECT_EQ(device.memory_stats().live_bytes, live);
+      for (const AllocationRecord& a : device.OutstandingAllocations()) {
+        EXPECT_EQ(a.tag.rfind("outer/", 0), 0u) << a.tag;
+      }
+    });
+    {
+      AllocTagScope tag(device, "outer");
+      LifecycleScope scope(device, control);
+      Result<Rows> rows = run_query(device);
+      ASSERT_TRUE(rows.ok()) << rows.status().ToString();
+      EXPECT_EQ(*rows, base.rows);
+    }
+    EXPECT_EQ(fired, 1);
+    EXPECT_EQ(nested, base.rows);
+    EXPECT_EQ(control.kernels_launched(), base.kernels);
+    EXPECT_EQ(device.kernels_launched(), 2 * base.kernels);
+    ASSERT_OK(device.CheckNoLeaks());
+  }
+}
+
 class JoinCancellationSweepTest
     : public ::testing::TestWithParam<join::JoinAlgo> {};
 
@@ -339,6 +447,19 @@ TEST_P(JoinCancellationSweepTest, EveryKernelBoundaryCancelsCleanly) {
     return join::CanonicalRows(jr.output.ToHost());
   };
   ExhaustiveCancellationSweep(join::JoinAlgoName(algo), run_query);
+}
+
+TEST_P(JoinCancellationSweepTest, EveryKernelBoundaryPreemptsCleanly) {
+  const join::JoinAlgo algo = GetParam();
+  const workload::JoinWorkload w = SweepJoinWorkload();
+  auto run_query = [&](Device& device) -> Result<Rows> {
+    GPUJOIN_ASSIGN_OR_RETURN(Table r, Table::FromHost(device, w.r));
+    GPUJOIN_ASSIGN_OR_RETURN(Table s, Table::FromHost(device, w.s));
+    GPUJOIN_ASSIGN_OR_RETURN(join::JoinRunResult jr,
+                             join::RunJoin(device, algo, r, s, {}));
+    return join::CanonicalRows(jr.output.ToHost());
+  };
+  ExhaustivePreemptionSweep(join::JoinAlgoName(algo), run_query);
 }
 
 INSTANTIATE_TEST_SUITE_P(
@@ -366,6 +487,19 @@ TEST_P(GroupByCancellationSweepTest, EveryKernelBoundaryCancelsCleanly) {
     return join::CanonicalRows(gr.output.ToHost());
   };
   ExhaustiveCancellationSweep(groupby::GroupByAlgoName(algo), run_query);
+}
+
+TEST_P(GroupByCancellationSweepTest, EveryKernelBoundaryPreemptsCleanly) {
+  const groupby::GroupByAlgo algo = GetParam();
+  const HostTable input = SweepGroupByWorkload();
+  const groupby::GroupBySpec spec = SweepGroupBySpec();
+  auto run_query = [&](Device& device) -> Result<Rows> {
+    GPUJOIN_ASSIGN_OR_RETURN(Table t, Table::FromHost(device, input));
+    GPUJOIN_ASSIGN_OR_RETURN(groupby::GroupByRunResult gr,
+                             groupby::RunGroupBy(device, algo, t, spec, {}));
+    return join::CanonicalRows(gr.output.ToHost());
+  };
+  ExhaustivePreemptionSweep(groupby::GroupByAlgoName(algo), run_query);
 }
 
 INSTANTIATE_TEST_SUITE_P(

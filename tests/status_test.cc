@@ -51,14 +51,6 @@ TEST(StatusTest, LifecyclePredicates) {
 }
 
 TEST(StatusTest, SchedulerStatuses) {
-  const Status yielded = Status::Yielded("seam");
-  EXPECT_TRUE(yielded.IsYielded());
-  EXPECT_FALSE(yielded.IsCancelled());
-  // A yield is resumable, never a terminal outcome: deliberately NOT a
-  // lifecycle stop, so resilience ladders and callers propagate it
-  // untouched instead of treating it like a cancellation.
-  EXPECT_FALSE(yielded.IsLifecycleStop());
-
   const Status over = Status::TenantOverQuota("capped");
   EXPECT_TRUE(over.IsTenantOverQuota());
   EXPECT_FALSE(over.IsResourceExhausted());
@@ -77,7 +69,6 @@ TEST(StatusTest, UnavailableIsRetryableNotALifecycleStop) {
   // backend hiccuped) and from the deliberate lifecycle stops.
   EXPECT_FALSE(s.IsResourceExhausted());
   EXPECT_FALSE(s.IsLifecycleStop());
-  EXPECT_FALSE(s.IsYielded());
   EXPECT_FALSE(Status::OK().IsUnavailable());
   EXPECT_FALSE(Status::ResourceExhausted("oom").IsUnavailable());
   EXPECT_EQ(s.ToString(),
@@ -105,7 +96,6 @@ TEST(StatusCodeTest, NamesAreStable) {
   EXPECT_STREQ(StatusCodeToString(StatusCode::kCancelled), "Cancelled");
   EXPECT_STREQ(StatusCodeToString(StatusCode::kDeadlineExceeded),
                "DeadlineExceeded");
-  EXPECT_STREQ(StatusCodeToString(StatusCode::kYielded), "Yielded");
   EXPECT_STREQ(StatusCodeToString(StatusCode::kTenantOverQuota),
                "TenantOverQuota");
   EXPECT_STREQ(StatusCodeToString(StatusCode::kUnavailable), "Unavailable");

@@ -2,7 +2,7 @@
 //
 // Each round drives one hog tenant (large, fragmented, low-priority joins)
 // against several interactive tenants (small, high-priority queries that
-// arrive mid-round and preempt the hog at lifecycle seams) through a
+// arrive mid-round and run nested at the hog's seams) through a
 // QueryService whose budget shrinks round over round. Cancel-at-kernel
 // trips, tight deadlines, and arrival times are salted from a seed
 // (GPUJOIN_SOAK_SEED or --seed; printed on failure so any run reproduces).
@@ -11,8 +11,10 @@
 //   * reserved_bytes() returns to 0 whatever the mix of outcomes,
 //   * the device has zero outstanding allocations (CheckNoLeaks),
 //   * every outcome is structured (OK / Cancelled / DeadlineExceeded /
-//     ResourceExhausted / OutOfMemory / TenantOverQuota) — never Internal
-//     and never a leaked kYielded,
+//     ResourceExhausted / OutOfMemory / TenantOverQuota) — never Internal,
+//   * preemption discards nothing: no query takes more fragment turns than
+//     its plan has fragments, and over the completed queries
+//     Σ fragment_turns == Σ fragments_total,
 //   * the obs::MetricsRegistry telemetry reconciles with ground truth:
 //     admissions == terminal outcomes == submissions, scheduler turns ==
 //     the sum of per-query fragment turns == backend resolutions, and each
@@ -282,7 +284,7 @@ int Run(int rounds) {
       req.tenant = tenants[q % 3];
       req.priority = 5;  // Interactive tier outranks the hog.
       // Salted arrival inside the hog's makespan: models async submissions
-      // racing the drain and forces preemption at lifecycle seams.
+      // racing the drain and forces preemption at the hog's seams.
       req.arrival_cycles =
           round_start + static_cast<double>(qsalt % 1000) / 1000.0 *
                             hog_solo_cycles * 1.5;
@@ -320,6 +322,7 @@ int Run(int rounds) {
     }
     double hog_makespan = 0;
     uint64_t fragment_turns = 0;
+    uint64_t ok_turns = 0, ok_fragments = 0;
     uint64_t round_output_rows = 0;
     std::map<std::string, std::vector<double>> tenant_wait;
     for (const auto& out : svc.outcomes()) {
@@ -334,12 +337,29 @@ int Run(int rounds) {
         ++total_backpressure;
       total_preemptions += static_cast<uint64_t>(out.preemptions);
       fragment_turns += static_cast<uint64_t>(out.fragment_turns);
+      if (out.fragment_turns > out.fragments_total) {
+        return Fail("query " + out.name + " took " +
+                    std::to_string(out.fragment_turns) + " turns for " +
+                    std::to_string(out.fragments_total) +
+                    " fragments: a fragment ran twice");
+      }
+      if (out.status.ok()) {
+        ok_turns += static_cast<uint64_t>(out.fragment_turns);
+        ok_fragments += static_cast<uint64_t>(out.fragments_total);
+      }
       round_output_rows += out.output_rows;
       tenant_wait[out.tenant].push_back(out.wait_cycles);
       if (out.tenant == "hog" && out.finished_at_cycles > 0) {
         hog_makespan = std::max(
             hog_makespan, out.finished_at_cycles - out.submitted_at_cycles);
       }
+    }
+
+    if (ok_turns != ok_fragments) {
+      return Fail("round " + std::to_string(round) +
+                  ": completed queries took " + std::to_string(ok_turns) +
+                  " fragment turns for " + std::to_string(ok_fragments) +
+                  " fragments");
     }
 
     // --- Telemetry reconciliation -----------------------------------------
@@ -410,8 +430,8 @@ int Run(int rounds) {
 
     // Latency fairness: the interactive tenants were submitted AFTER two
     // hog queries, yet their p95 wait must stay bounded by ONE hog query's
-    // solo runtime. When the budget fits both hogs, preemption-at-seam
-    // keeps waits to roughly one fragment turn; when the hogs hold the
+    // solo runtime. When the budget fits both hogs, nested preemption at
+    // the hog's seams keeps waits near zero; when the hogs hold the
     // whole budget, an interactive waits at most for the first release,
     // which focus-on-completion scheduling caps near the solo runtime
     // (interleaving would double it). Admission order must never dictate
