@@ -1,8 +1,10 @@
 // GB1 (designed; see DESIGN.md §0): grouped-aggregation throughput vs the
-// number of groups. Expected shape: the global hash table wins while it
-// fits in cache, then collapses under random access; the partitioned
-// variant is flat and best at high cardinalities; sort-based is flat but
-// pays the full sort (4 passes vs 2).
+// number of groups. The generator's keys are a dense range from 0, so the
+// global table is direct-mapped and the sort covers only the significant
+// key bits (DESIGN.md §17). Expected shape: the global table wins while its
+// accumulators stay near the cache, then degrades under random access; the
+// partitioned variant is flat and best at high cardinalities; sort-based
+// grows by one 8-bit pass per 8 key bits.
 
 #include "bench_common.h"
 #include "groupby/groupby.h"

@@ -36,9 +36,11 @@ int main() {
 
       groupby::GroupByFeatures f;
       f.rows = spec.rows;
-      auto est = stats::EstimateDistinct(device, input->column(0));
-      GPUJOIN_CHECK_OK(est.status());
-      f.estimated_groups = *est;
+      auto keys = stats::EstimateKeyStats(device, input->column(0));
+      GPUJOIN_CHECK_OK(keys.status());
+      f.estimated_groups = keys->distinct;
+      f.key_min = keys->min;
+      f.key_max = keys->max;
       f.zipf_theta = zipf;
       const groupby::GroupByAlgo choice = ChooseGroupByAlgo(device, f);
 
@@ -66,7 +68,7 @@ int main() {
       ++total;
       if (choice == best_algo) ++hits;
       tp.AddRow({std::to_string(spec.num_groups),
-                 harness::TablePrinter::Fmt(zipf, 2), std::to_string(*est),
+                 harness::TablePrinter::Fmt(zipf, 2), std::to_string(keys->distinct),
                  GroupByAlgoName(choice), GroupByAlgoName(best_algo),
                  harness::TablePrinter::Fmt(regret, 1)});
     }

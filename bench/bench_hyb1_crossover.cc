@@ -50,9 +50,10 @@ void AddRow(RunReporter& rep, int scale, const char* op,
             uint64_t input_tuples, std::string backend) {
   // cpux rows carry host wall seconds through the same cycle-denominated
   // JSON fields; the "backend" field names the clock (see obs/metrics.h).
+  // Their sim counters stay zero: r.stats is the vgpu run's delta only.
   rep.Add({std::to_string(scale), op}, algo, r.phases,
           input_tuples / std::max(r.seconds, 1e-12) / 1e6, r.peak_mem_bytes,
-          r.output_rows, vgpu::KernelStats{}, std::move(backend));
+          r.output_rows, r.stats, std::move(backend));
 }
 
 int CheckCrossover(const std::vector<ScaleResult>& results) {

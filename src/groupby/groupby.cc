@@ -1,19 +1,17 @@
 #include "groupby/groupby.h"
 
 #include <algorithm>
+#include <bit>
 #include <limits>
 #include <map>
 #include <unordered_map>
-#include <unordered_set>
 #include <utility>
 #include <vector>
 
 #include "common/bit_util.h"
 #include "join/transform.h"
 #include "obs/trace.h"
-#include "stats/estimator.h"
 #include "prim/hash.h"
-#include "prim/hash_join.h"
 #include "prim/radix_partition.h"
 
 namespace gpujoin::groupby {
@@ -44,6 +42,19 @@ const char* AggOpName(AggOp op) {
       return "avg";
   }
   return "?";
+}
+
+uint64_t HashGlobalSlots(uint64_t estimated_groups) {
+  return bit_util::NextPowerOfTwo(std::max<uint64_t>(estimated_groups * 3, 64));
+}
+
+uint64_t DirectMapSlots(const stats::KeyStats& keys) {
+  if (keys.min > keys.max) return 0;
+  // Unsigned difference: exact even where max - min overflows int64.
+  const uint64_t span =
+      static_cast<uint64_t>(keys.max) - static_cast<uint64_t>(keys.min);
+  const uint64_t slots = HashGlobalSlots(keys.distinct);
+  return span < slots ? span + 1 : 0;
 }
 
 namespace {
@@ -127,10 +138,13 @@ Status ValidateSpec(const Table& input, const GroupBySpec& spec) {
   return Status::OK();
 }
 
+/// Groups as (key, accumulator) in output order.
+using Groups = std::vector<std::pair<int64_t, GroupAcc>>;
+
 /// Emits the final output table from an ordered list of (key, acc).
 Result<Table> EmitOutput(vgpu::Device& device, const Table& input,
                          const GroupBySpec& spec,
-                         const std::vector<std::pair<int64_t, GroupAcc>>& groups) {
+                         const Groups& groups) {
   const uint64_t g = groups.size();
   vgpu::AllocTagScope tag(device, "groupby:emit");
   std::vector<std::string> names;
@@ -177,41 +191,94 @@ std::vector<int> NeededColumns(const GroupBySpec& spec) {
   return cols;
 }
 
+/// Reads row i's aggregate inputs from the transformed columns (parallel to
+/// `needed`); count aggregates read 0.
+void ReadAggValues(const GroupBySpec& spec, const std::vector<int>& needed,
+                   const std::vector<DeviceColumn>& t_cols, uint64_t i,
+                   std::vector<int64_t>* agg_values) {
+  for (size_t a = 0; a < spec.aggregates.size(); ++a) {
+    const AggSpec& as = spec.aggregates[a];
+    if (as.op == AggOp::kCount) {
+      (*agg_values)[a] = 0;
+      continue;
+    }
+    const auto it = std::find(needed.begin(), needed.end(), as.column);
+    (*agg_values)[a] = t_cols[it - needed.begin()].Get(i);
+  }
+}
+
+/// Transform (GFTR style): reorders the key together with every aggregate
+/// column in `needed`; stability keeps all transformed columns aligned. A
+/// count-only spec transforms the key with a throwaway row-id column.
+template <typename K>
+Status TransformInput(vgpu::Device& device, const Table& input,
+                      const std::vector<int>& needed, join::TransformKind kind,
+                      int bits, vgpu::DeviceBuffer<K>* t_keys,
+                      std::vector<DeviceColumn>* t_cols) {
+  const vgpu::DeviceBuffer<K>* key_buf;
+  if constexpr (sizeof(K) == 4) {
+    key_buf = &input.column(0).i32();
+  } else {
+    key_buf = &input.column(0).i64();
+  }
+  if (needed.empty()) {
+    GPUJOIN_ASSIGN_OR_RETURN(
+        auto ids, vgpu::DeviceBuffer<RowId>::Allocate(device, input.num_rows()));
+    vgpu::DeviceBuffer<RowId> t_ids;
+    return join::TransformPairOutOfPlace(device, *key_buf, ids, t_keys, &t_ids,
+                                         kind, bits);
+  }
+  for (size_t c = 0; c < needed.size(); ++c) {
+    vgpu::DeviceBuffer<K> t_keys_c;
+    GPUJOIN_ASSIGN_OR_RETURN(
+        DeviceColumn t_col,
+        join::TransformKeyPayload(device, *key_buf, input.column(needed[c]),
+                                  &t_keys_c, kind, bits));
+    t_cols->push_back(std::move(t_col));
+    if (c == 0) {
+      *t_keys = std::move(t_keys_c);
+    } else {
+      t_keys_c.Release();
+    }
+  }
+  return Status::OK();
+}
+
 // ---------------------------------------------------------------------------
 // HASH-GLOBAL
 // ---------------------------------------------------------------------------
 
-template <typename K>
-Result<std::vector<std::pair<int64_t, GroupAcc>>> HashGlobalAggregate(
-    vgpu::Device& device, const Table& input, const GroupBySpec& spec) {
+Result<Groups> HashGlobalAggregate(vgpu::Device& device, const Table& input,
+                                   const GroupBySpec& spec,
+                                   const stats::KeyStats& keys) {
   vgpu::AllocTagScope tag(device, "groupby:hash_global");
+  obs::TraceSpan aggregate_span(device, "phase", "aggregate");
   const uint64_t n = input.num_rows();
   const int warp = device.config().warp_size;
-  // Size the table from a HyperLogLog estimate (a real system's sizing
-  // input), with 3x headroom against both estimation error and clustering.
-  uint64_t g_est = 0;
-  {
-    obs::TraceSpan estimate_span(device, "phase", "estimate");
-    GPUJOIN_ASSIGN_OR_RETURN(g_est,
-                             stats::EstimateDistinct(device, input.column(0)));
-  }
-  // Everything from here to the compacted group list is the aggregate
-  // phase (the span closes when this function returns).
-  obs::TraceSpan aggregate_span(device, "phase", "aggregate");
+  // A dense key range indexes the accumulators directly (slot = key - min):
+  // no key array, no probing, and the slot of every row is a function of its
+  // key alone. Otherwise a linear-probe table sized from the distinct
+  // estimate.
+  const uint64_t direct_slots = DirectMapSlots(keys);
+  const bool direct = direct_slots > 0;
   const uint64_t table_size =
-      bit_util::NextPowerOfTwo(std::max<uint64_t>(g_est * 3, 64));
+      direct ? direct_slots : HashGlobalSlots(keys.distinct);
   const uint64_t mask = table_size - 1;
   const uint64_t n_acc = spec.aggregates.size() + 1;  // + count cell.
+  aggregate_span.Annotate("table", direct ? "direct" : "hashed");
+  aggregate_span.Annotate("slots", std::to_string(table_size));
 
-  GPUJOIN_ASSIGN_OR_RETURN(auto slot_keys,
-                           vgpu::DeviceBuffer<int64_t>::Allocate(device, table_size));
+  vgpu::DeviceBuffer<int64_t> slot_keys;
+  if (!direct) {
+    GPUJOIN_ASSIGN_OR_RETURN(
+        slot_keys, vgpu::DeviceBuffer<int64_t>::Allocate(device, table_size));
+  }
   GPUJOIN_ASSIGN_OR_RETURN(
       auto slot_accs,
       vgpu::DeviceBuffer<int64_t>::Allocate(device, table_size * n_acc));
+  // Functional accumulators; a slot is live once initialized.
   std::vector<GroupAcc> accs(table_size);
-  std::fill(slot_keys.data(), slot_keys.data() + table_size, prim::kEmptySlot);
 
-  const std::vector<int> needed = NeededColumns(spec);
   std::vector<int64_t> agg_values(spec.aggregates.size(), 0);
   // Updates to the SAME group's accumulators serialize at the L2 atomic
   // unit across the whole device; the hottest group is a critical path.
@@ -223,9 +290,10 @@ Result<std::vector<std::pair<int64_t, GroupAcc>>> HashGlobalAggregate(
   }
   {
     // This kernel stays on the sequential simulation path even under
-    // GPUJOIN_SIM_THREADS > 1: the global table's linear-probe layout (and
-    // therefore every probe's address trace) depends on insertion order, so
-    // tuples cannot be re-sharded without changing the simulated stats.
+    // GPUJOIN_SIM_THREADS > 1, so its accesses see the whole device L2. The
+    // hashed table's linear-probe layout (and therefore every probe's
+    // address trace) also depends on insertion order, so its tuples cannot
+    // be re-sharded without changing the simulated stats.
     vgpu::KernelScope ks(device, "gb_hash_global_update");
     // Warp-aggregated atomics (the compiler combines same-address atomicAdds
     // within a warp): the device-wide serialization chain on the hottest
@@ -236,10 +304,10 @@ Result<std::vector<std::pair<int64_t, GroupAcc>>> HashGlobalAggregate(
                        static_cast<double>(n_acc) * kSameAddressAtomicCycles);
     // Key and aggregate-input columns are fully coalesced sequential
     // streams: charge them as bulk runs up front. Only the probe/update
-    // traffic depends on the hash of each key and stays per-warp.
+    // traffic depends on each key and stays per-warp.
     device.LoadSeq(input.column(0).addr(), n,
                    static_cast<uint32_t>(DataTypeSize(input.column(0).type())));
-    for (int c : needed) {
+    for (int c : NeededColumns(spec)) {
       device.LoadSeq(input.column(c).addr(), n,
                      static_cast<uint32_t>(DataTypeSize(input.column(c).type())));
     }
@@ -249,27 +317,33 @@ Result<std::vector<std::pair<int64_t, GroupAcc>>> HashGlobalAggregate(
       const uint32_t lanes = static_cast<uint32_t>(std::min<uint64_t>(warp, n - i));
       for (uint32_t l = 0; l < lanes; ++l) {
         const int64_t key = input.column(0).Get(i + l);
-        uint64_t h = prim::HashToSlot(key, mask);
-        uint64_t steps = 1;
-        while (slot_keys[h] != prim::kEmptySlot && slot_keys[h] != key) {
-          h = (h + 1) & mask;
-          if (++steps > table_size) {
-            return Status::Internal(
-                "hash group-by table overflow (cardinality estimate too low)");
+        uint64_t h;
+        if (direct) {
+          h = static_cast<uint64_t>(key) - static_cast<uint64_t>(keys.min);
+        } else {
+          h = prim::HashToSlot(key, mask);
+          uint64_t steps = 1;
+          while (accs[h].initialized && slot_keys[h] != key) {
+            h = (h + 1) & mask;
+            if (++steps > table_size) {
+              return Status::Internal(
+                  "hash group-by table overflow (cardinality estimate too low)");
+            }
           }
+          slot_keys[h] = key;
+          probe_addrs[l] = slot_keys.addr(h);
+          if (steps > 1) device.Compute(steps - 1);
         }
-        slot_keys[h] = key;
-        probe_addrs[l] = slot_keys.addr(h);
         acc_addrs[l] = slot_accs.addr(h * n_acc);
-        if (steps > 1) device.Compute(steps - 1);
         for (size_t a = 0; a < spec.aggregates.size(); ++a) {
           const AggSpec& as = spec.aggregates[a];
           agg_values[a] = as.op == AggOp::kCount ? 0 : input.column(as.column).Get(i + l);
         }
         UpdateAcc(&accs[h], spec, agg_values);
       }
-      // Probe loads + one warp-aggregated atomic RMW per aggregate cell.
-      device.Load({probe_addrs, lanes}, sizeof(int64_t));
+      // Probe loads (hashed table only) + one warp-aggregated atomic RMW per
+      // aggregate cell.
+      if (!direct) device.Load({probe_addrs, lanes}, sizeof(int64_t));
       for (uint64_t a = 0; a < n_acc; ++a) {
         device.Store({acc_addrs, lanes}, sizeof(int64_t));
         device.Compute(1);
@@ -277,17 +351,20 @@ Result<std::vector<std::pair<int64_t, GroupAcc>>> HashGlobalAggregate(
     }
   }
 
-  // Compact: scan the table, gather live slots.
-  std::vector<std::pair<int64_t, GroupAcc>> groups;
-  groups.reserve(g_est);
+  // Compact: scan the table, gather live slots (a direct-mapped table's are
+  // those with count > 0, already in key order).
+  Groups groups;
+  groups.reserve(keys.distinct);
   {
     vgpu::KernelScope ks(device, "gb_hash_global_compact");
-    device.LoadSeq(slot_keys.addr(), table_size, sizeof(int64_t));
+    if (!direct) device.LoadSeq(slot_keys.addr(), table_size, sizeof(int64_t));
     device.LoadSeq(slot_accs.addr(), table_size * n_acc, sizeof(int64_t));
     for (uint64_t h = 0; h < table_size; ++h) {
-      if (slot_keys[h] != prim::kEmptySlot) {
-        groups.emplace_back(slot_keys[h], std::move(accs[h]));
-      }
+      if (!accs[h].initialized) continue;
+      const int64_t key =
+          direct ? static_cast<int64_t>(static_cast<uint64_t>(keys.min) + h)
+                 : slot_keys[h];
+      groups.emplace_back(key, std::move(accs[h]));
     }
     device.Compute(bit_util::CeilDiv(table_size, warp));
   }
@@ -299,66 +376,33 @@ Result<std::vector<std::pair<int64_t, GroupAcc>>> HashGlobalAggregate(
 // ---------------------------------------------------------------------------
 
 template <typename K>
-Result<std::vector<std::pair<int64_t, GroupAcc>>> HashPartitionedAggregate(
-    vgpu::Device& device, const Table& input, const GroupBySpec& spec,
-    const GroupByOptions& opts, double* transform_seconds) {
+Result<Groups> HashPartitionedAggregate(vgpu::Device& device,
+                                        const Table& input,
+                                        const GroupBySpec& spec,
+                                        const GroupByOptions& opts,
+                                        const stats::KeyStats& keys,
+                                        double* transform_seconds) {
   vgpu::AllocTagScope tag(device, "groupby:hash_part");
-  const uint64_t n = input.num_rows();
   const int warp = device.config().warp_size;
-  const auto& key_col = input.column(0);
-  const uint64_t slot_bytes = SlotBytes(key_col.type(), spec);
+  const uint64_t slot_bytes = SlotBytes(input.column(0).type(), spec);
   const uint64_t capacity = std::max<uint64_t>(
       device.config().shared_mem_per_block_bytes / slot_bytes / 2, 16);
-  uint64_t g = 0;
-  {
-    obs::TraceSpan estimate_span(device, "phase", "estimate");
-    GPUJOIN_ASSIGN_OR_RETURN(g, stats::EstimateDistinct(device, key_col));
-  }
-
+  const uint64_t g = keys.distinct;
   int bits = opts.radix_bits_override > 0
                  ? opts.radix_bits_override
-                 : std::clamp(bit_util::Log2Ceil(bit_util::CeilDiv(
-                                  std::max<uint64_t>(g, 1), capacity)),
+                 : std::clamp(bit_util::Log2Ceil(bit_util::CeilDiv(g, capacity)),
                               1, 16);
 
   const double t0 = device.ElapsedSeconds();
-  // Transform (GFTR style): partition the key with every needed aggregate
-  // column; stability aligns all transformed columns.
   const std::vector<int> needed = NeededColumns(spec);
-  const vgpu::DeviceBuffer<K>* key_buf;
-  if constexpr (sizeof(K) == 4) {
-    key_buf = &key_col.i32();
-  } else {
-    key_buf = &key_col.i64();
-  }
   vgpu::DeviceBuffer<K> t_keys;
   std::vector<DeviceColumn> t_cols;  // Parallel to `needed`.
   std::vector<uint64_t> offsets;
   {
     obs::TraceSpan transform_span(device, "phase", "transform");
-    if (needed.empty()) {
-      GPUJOIN_ASSIGN_OR_RETURN(
-          auto ids, vgpu::DeviceBuffer<RowId>::Allocate(device, n));
-      vgpu::DeviceBuffer<RowId> t_ids;
-      GPUJOIN_RETURN_IF_ERROR(join::TransformPairOutOfPlace(
-          device, *key_buf, ids, &t_keys, &t_ids,
-          join::TransformKind::kPartition, bits));
-    } else {
-      for (size_t c = 0; c < needed.size(); ++c) {
-        vgpu::DeviceBuffer<K> t_keys_c;
-        GPUJOIN_ASSIGN_OR_RETURN(
-            DeviceColumn t_col,
-            join::TransformKeyPayload(device, *key_buf, input.column(needed[c]),
-                                      &t_keys_c, join::TransformKind::kPartition,
-                                      bits));
-        t_cols.push_back(std::move(t_col));
-        if (c == 0) {
-          t_keys = std::move(t_keys_c);
-        } else {
-          t_keys_c.Release();
-        }
-      }
-    }
+    GPUJOIN_RETURN_IF_ERROR(TransformInput<K>(device, input, needed,
+                                              join::TransformKind::kPartition,
+                                              bits, &t_keys, &t_cols));
     GPUJOIN_RETURN_IF_ERROR(
         prim::ComputePartitionOffsets(device, t_keys, bits, &offsets));
   }
@@ -367,7 +411,7 @@ Result<std::vector<std::pair<int64_t, GroupAcc>>> HashPartitionedAggregate(
   // Aggregate each partition in a shared-memory table. Partitions whose
   // distinct-group count exceeds the capacity are processed in extra passes
   // (charged below); functionally a map per partition keeps it exact.
-  std::vector<std::pair<int64_t, GroupAcc>> groups;
+  Groups groups;
   groups.reserve(g);
   obs::TraceSpan aggregate_span(device, "phase", "aggregate");
   {
@@ -377,7 +421,7 @@ Result<std::vector<std::pair<int64_t, GroupAcc>>> HashPartitionedAggregate(
     // within a partition) is deterministic.
     vgpu::KernelScope ks(device, "gb_hash_part_aggregate");
     const uint32_t fanout = 1u << bits;
-    std::vector<std::vector<std::pair<int64_t, GroupAcc>>> part_groups(fanout);
+    std::vector<Groups> part_groups(fanout);
     GPUJOIN_RETURN_IF_ERROR(device.ParallelBlocks(
         fanout, [&](uint64_t p, vgpu::BlockContext& ctx) -> Status {
           const uint64_t pb = offsets[p], pe = offsets[p + 1];
@@ -392,15 +436,7 @@ Result<std::vector<std::pair<int64_t, GroupAcc>>> HashPartitionedAggregate(
           ctx.SharedAccess(bit_util::CeilDiv(pe - pb, warp) *
                            (1 + spec.aggregates.size()));
           for (uint64_t i = pb; i < pe; ++i) {
-            for (size_t a = 0; a < spec.aggregates.size(); ++a) {
-              const AggSpec& as = spec.aggregates[a];
-              if (as.op == AggOp::kCount) {
-                agg_values[a] = 0;
-                continue;
-              }
-              const auto it = std::find(needed.begin(), needed.end(), as.column);
-              agg_values[a] = t_cols[it - needed.begin()].Get(i);
-            }
+            ReadAggValues(spec, needed, t_cols, i, &agg_values);
             UpdateAcc(&local[static_cast<int64_t>(t_keys[i])], spec, agg_values);
           }
           // Overflow passes: every extra capacity-chunk of distinct groups
@@ -434,19 +470,21 @@ Result<std::vector<std::pair<int64_t, GroupAcc>>> HashPartitionedAggregate(
 // ---------------------------------------------------------------------------
 
 template <typename K>
-Result<std::vector<std::pair<int64_t, GroupAcc>>> SortAggregate(
-    vgpu::Device& device, const Table& input, const GroupBySpec& spec,
-    double* transform_seconds) {
+Result<Groups> SortAggregate(vgpu::Device& device, const Table& input,
+                             const GroupBySpec& spec,
+                             const stats::KeyStats& keys,
+                             double* transform_seconds) {
   vgpu::AllocTagScope tag(device, "groupby:sort");
   const uint64_t n = input.num_rows();
   const int warp = device.config().warp_size;
-  const auto& key_col = input.column(0);
-  const vgpu::DeviceBuffer<K>* key_buf;
-  if constexpr (sizeof(K) == 4) {
-    key_buf = &key_col.i32();
-  } else {
-    key_buf = &key_col.i64();
-  }
+  // Non-negative keys below 2^b are fully ordered by a stable LSD partition
+  // over their low b bits: the bounded sort returns the full-width sort's
+  // rows in the same order. Negative keys keep the full-width SORT-PAIRS.
+  const bool bounded = keys.min >= 0;
+  const int sort_bits =
+      bounded ? std::max(1, static_cast<int>(std::bit_width(
+                                 static_cast<uint64_t>(keys.max))))
+              : static_cast<int>(sizeof(K)) * 8;
 
   const double t0 = device.ElapsedSeconds();
   const std::vector<int> needed = NeededColumns(spec);
@@ -454,33 +492,16 @@ Result<std::vector<std::pair<int64_t, GroupAcc>>> SortAggregate(
   std::vector<DeviceColumn> t_cols;
   {
     obs::TraceSpan transform_span(device, "phase", "transform");
-    if (needed.empty()) {
-      GPUJOIN_ASSIGN_OR_RETURN(auto ids,
-                               vgpu::DeviceBuffer<RowId>::Allocate(device, n));
-      vgpu::DeviceBuffer<RowId> t_ids;
-      GPUJOIN_RETURN_IF_ERROR(join::TransformPairOutOfPlace(
-          device, *key_buf, ids, &t_keys, &t_ids, join::TransformKind::kSort,
-          0));
-    } else {
-      for (size_t c = 0; c < needed.size(); ++c) {
-        vgpu::DeviceBuffer<K> t_keys_c;
-        GPUJOIN_ASSIGN_OR_RETURN(
-            DeviceColumn t_col,
-            join::TransformKeyPayload(device, *key_buf, input.column(needed[c]),
-                                      &t_keys_c, join::TransformKind::kSort, 0));
-        t_cols.push_back(std::move(t_col));
-        if (c == 0) {
-          t_keys = std::move(t_keys_c);
-        } else {
-          t_keys_c.Release();
-        }
-      }
-    }
+    transform_span.Annotate("sort_bits", std::to_string(sort_bits));
+    GPUJOIN_RETURN_IF_ERROR(TransformInput<K>(
+        device, input, needed,
+        bounded ? join::TransformKind::kPartition : join::TransformKind::kSort,
+        sort_bits, &t_keys, &t_cols));
   }
   *transform_seconds = device.ElapsedSeconds() - t0;
 
   // Segmented reduction over equal-key runs (purely sequential).
-  std::vector<std::pair<int64_t, GroupAcc>> groups;
+  Groups groups;
   std::vector<int64_t> agg_values(spec.aggregates.size(), 0);
   obs::TraceSpan aggregate_span(device, "phase", "aggregate");
   {
@@ -508,15 +529,7 @@ Result<std::vector<std::pair<int64_t, GroupAcc>>> SortAggregate(
       if (i == n || (i > 0 && t_keys[i] != t_keys[run_start])) {
         GroupAcc acc;
         for (uint64_t j = run_start; j < i; ++j) {
-          for (size_t a = 0; a < spec.aggregates.size(); ++a) {
-            const AggSpec& as = spec.aggregates[a];
-            if (as.op == AggOp::kCount) {
-              agg_values[a] = 0;
-              continue;
-            }
-            const auto it = std::find(needed.begin(), needed.end(), as.column);
-            agg_values[a] = t_cols[it - needed.begin()].Get(j);
-          }
+          ReadAggValues(spec, needed, t_cols, j, &agg_values);
           UpdateAcc(&acc, spec, agg_values);
         }
         groups.emplace_back(static_cast<int64_t>(t_keys[run_start]),
@@ -542,21 +555,29 @@ Result<GroupByRunResult> GroupByDriver(vgpu::Device& device, GroupByAlgo algo,
   const double t0 = device.ElapsedSeconds();
   double transform_s = 0;
 
-  std::vector<std::pair<int64_t, GroupAcc>> groups;
+  // One key scan sizes every strategy: distinct count and key range.
+  stats::KeyStats keys;
+  {
+    obs::TraceSpan estimate_span(device, "phase", "estimate");
+    GPUJOIN_ASSIGN_OR_RETURN(keys,
+                             stats::EstimateKeyStats(device, input.column(0)));
+  }
+  Groups groups;
   switch (algo) {
     case GroupByAlgo::kHashGlobal: {
-      GPUJOIN_ASSIGN_OR_RETURN(groups, HashGlobalAggregate<K>(device, input, spec));
+      GPUJOIN_ASSIGN_OR_RETURN(groups,
+                               HashGlobalAggregate(device, input, spec, keys));
       break;
     }
     case GroupByAlgo::kHashPartitioned: {
       GPUJOIN_ASSIGN_OR_RETURN(
-          groups, HashPartitionedAggregate<K>(device, input, spec, opts,
+          groups, HashPartitionedAggregate<K>(device, input, spec, opts, keys,
                                               &transform_s));
       break;
     }
     case GroupByAlgo::kSortBased: {
-      GPUJOIN_ASSIGN_OR_RETURN(groups,
-                               SortAggregate<K>(device, input, spec, &transform_s));
+      GPUJOIN_ASSIGN_OR_RETURN(
+          groups, SortAggregate<K>(device, input, spec, keys, &transform_s));
       break;
     }
   }

@@ -4,11 +4,21 @@ namespace gpujoin::groupby {
 
 namespace {
 
-/// Bytes of one global-table group entry: key slot + 8-byte accumulators
-/// (+ count), doubled for the open-addressing load factor.
+/// Slots of the direct-mapped table GB-HASH-GLOBAL would run, 0 when it
+/// would hash.
+uint64_t DirectSlots(const GroupByFeatures& f) {
+  return DirectMapSlots({f.estimated_groups, f.key_min, f.key_max});
+}
+
+/// Bytes of the global table GB-HASH-GLOBAL would run. Each slot holds 8-byte
+/// accumulators plus a count cell. The direct-mapped table has one slot per
+/// key in the range; the hashed one adds a key per slot and is doubled for
+/// the open-addressing load factor.
 uint64_t GlobalTableBytes(const GroupByFeatures& f) {
-  const uint64_t slot = 8 + 8 * static_cast<uint64_t>(f.num_aggregates) + 8;
-  return f.estimated_groups * slot * 2;
+  const uint64_t accs = 8 * static_cast<uint64_t>(f.num_aggregates) + 8;
+  const uint64_t direct = DirectSlots(f);
+  if (direct > 0) return direct * accs;
+  return f.estimated_groups * (8 + accs) * 2;
 }
 
 constexpr double kSkewThreshold = 1.0;
@@ -37,6 +47,8 @@ std::string ExplainGroupByChoice(const vgpu::Device& device,
   out += " groups~" + std::to_string(features.estimated_groups);
   out += " zipf~" + std::to_string(features.zipf_theta);
   out += " aggs=" + std::to_string(features.num_aggregates);
+  out += DirectSlots(features) > 0 ? " global=direct(" : " global=hashed(";
+  out += std::to_string(GlobalTableBytes(features)) + "B)";
   out += " -> ";
   const GroupByAlgo choice = ChooseGroupByAlgo(device, features);
   out += GroupByAlgoName(choice);

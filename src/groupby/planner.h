@@ -17,8 +17,12 @@ namespace gpujoin::groupby {
 
 struct GroupByFeatures {
   uint64_t rows = 0;
-  /// Estimated distinct group count (e.g. from stats::EstimateDistinct).
+  /// Estimated distinct group count (stats::KeyStats::distinct).
   uint64_t estimated_groups = 0;
+  /// Key range from the same scan (stats::KeyStats). Unknown while
+  /// key_min > key_max, which prices the hashed global table.
+  int64_t key_min = 1;
+  int64_t key_max = 0;
   /// Estimated key-skew Zipf factor (0 = uniform).
   double zipf_theta = 0.0;
   /// Number of aggregate accumulators per group.

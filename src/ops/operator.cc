@@ -54,6 +54,7 @@ Result<OperatorRunResult> VgpuProvider::RunJoin(const JoinOp& op) {
   vgpu::Device& dev = *device_;
   dev.ResetPeakMemory();
   const uint64_t launches0 = dev.kernels_launched();
+  const vgpu::KernelStats stats0 = dev.total_stats();
   const double t0 = dev.ElapsedSeconds();
 
   // Upload both inputs over the simulated link (one transfer setup each).
@@ -83,6 +84,8 @@ Result<OperatorRunResult> VgpuProvider::RunJoin(const JoinOp& op) {
   res.phases.transform_s = t_up - t0;
   res.phases.match_s = t_run - t_up;
   res.phases.materialize_s = t_down - t_run;
+  res.stats = dev.total_stats();
+  res.stats.Sub(stats0);
   res.attempts = run.attempts;
   res.degradation = std::move(run.degradation);
   obs::MetricsRegistry& reg = obs::MetricsRegistry::Global();
@@ -97,6 +100,7 @@ Result<OperatorRunResult> VgpuProvider::RunGroupBy(const GroupByOp& op) {
   vgpu::Device& dev = *device_;
   dev.ResetPeakMemory();
   const uint64_t launches0 = dev.kernels_launched();
+  const vgpu::KernelStats stats0 = dev.total_stats();
   const double t0 = dev.ElapsedSeconds();
 
   dev.ChargeHostTransfer(vgpu::TransferDirection::kHostToDevice,
@@ -124,6 +128,8 @@ Result<OperatorRunResult> VgpuProvider::RunGroupBy(const GroupByOp& op) {
   res.phases.transform_s = t_up - t0;
   res.phases.match_s = t_run - t_up;
   res.phases.materialize_s = t_down - t_run;
+  res.stats = dev.total_stats();
+  res.stats.Sub(stats0);
   res.attempts = run.attempts;
   res.degradation = std::move(run.degradation);
   obs::MetricsRegistry& reg = obs::MetricsRegistry::Global();

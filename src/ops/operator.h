@@ -78,6 +78,9 @@ struct OperatorRunResult {
   /// transform / match / materialize split on the backend's clock. For
   /// vgpu, transform covers the upload and materialize the download.
   join::PhaseBreakdown phases;
+  /// KernelStats delta of the vgpu run, every ladder attempt included
+  /// (Table 4 counters). Zero for cpux, which has no simulated counters.
+  vgpu::KernelStats stats;
   /// Resilience-ladder attempts inside the backend (1 = clean first try).
   int attempts = 1;
   std::vector<DegradationStep> degradation;

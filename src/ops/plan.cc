@@ -150,8 +150,11 @@ class GroupByNodeImpl final : public PlanNode {
     } else {
       groupby::GroupByFeatures f;
       f.rows = in.num_rows();
-      GPUJOIN_ASSIGN_OR_RETURN(f.estimated_groups,
-                               stats::EstimateDistinct(device, in.column(0)));
+      GPUJOIN_ASSIGN_OR_RETURN(stats::KeyStats keys,
+                               stats::EstimateKeyStats(device, in.column(0)));
+      f.estimated_groups = keys.distinct;
+      f.key_min = keys.min;
+      f.key_max = keys.max;
       f.num_aggregates = static_cast<int>(spec_.aggregates.size());
       algo = ChooseGroupByAlgo(device, f);
     }

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
 #include <unordered_set>
 #include <vector>
 
@@ -56,12 +57,15 @@ MemoryEstimate EstimateGroupByMemory(const HostTable& input,
   return est;
 }
 
-Result<uint64_t> EstimateDistinct(vgpu::Device& device,
+Result<KeyStats> EstimateKeyStats(vgpu::Device& device,
                                   const DeviceColumn& column,
                                   int precision_bits) {
   if (precision_bits < 4 || precision_bits > 18) {
-    return Status::InvalidArgument("EstimateDistinct: precision out of [4,18]");
+    return Status::InvalidArgument("EstimateKeyStats: precision out of [4,18]");
   }
+  KeyStats result;
+  result.min = std::numeric_limits<int64_t>::max();
+  result.max = std::numeric_limits<int64_t>::min();
   const uint64_t m = uint64_t{1} << precision_bits;
   std::vector<uint8_t> registers(m, 0);
   const uint64_t n = column.size();
@@ -69,11 +73,16 @@ Result<uint64_t> EstimateDistinct(vgpu::Device& device,
     vgpu::KernelScope ks(device, "hll_sketch");
     device.LoadSeq(column.addr(), n,
                    static_cast<uint32_t>(DataTypeSize(column.type())));
+    // Hash plus the running min/max: register work that hides under the
+    // read, which bounds this kernel.
     device.Compute(bit_util::CeilDiv(n, device.config().warp_size) * 2);
     // Register updates live in shared memory per block, merged once.
     device.SharedAccess(bit_util::CeilDiv(n, device.config().warp_size));
     for (uint64_t i = 0; i < n; ++i) {
-      const uint64_t h = prim::Murmur3Fmix64(static_cast<uint64_t>(column.Get(i)));
+      const int64_t v = column.Get(i);
+      result.min = std::min(result.min, v);
+      result.max = std::max(result.max, v);
+      const uint64_t h = prim::Murmur3Fmix64(static_cast<uint64_t>(v));
       const uint64_t idx = h >> (64 - precision_bits);
       const uint64_t rest = h << precision_bits;
       const uint8_t rank = rest == 0
@@ -96,7 +105,9 @@ Result<uint64_t> EstimateDistinct(vgpu::Device& device,
   if (estimate <= 2.5 * md && zeros > 0) {
     estimate = md * std::log(md / static_cast<double>(zeros));
   }
-  return static_cast<uint64_t>(std::max(1.0, std::llround(estimate) * 1.0));
+  result.distinct =
+      static_cast<uint64_t>(std::max(1.0, std::llround(estimate) * 1.0));
+  return result;
 }
 
 Result<double> EstimateMatchRatio(vgpu::Device& device,

@@ -1,6 +1,7 @@
 // Cardinality and selectivity estimation for the planners. Real optimizers
-// decide from estimates, not oracles: EstimateDistinct is a HyperLogLog
-// sketch built in one sequential pass over the column (charged); the
+// decide from estimates, not oracles: EstimateKeyStats is a HyperLogLog
+// sketch built in one sequential pass over the column (charged), which also
+// yields the column's exact min and max from the same read; the
 // match-ratio estimator probes a sample of the probe side's keys against
 // the build side's key set.
 
@@ -51,9 +52,22 @@ MemoryEstimate EstimateJoinMemory(const HostTable& r, const HostTable& s);
 MemoryEstimate EstimateGroupByMemory(const HostTable& input,
                                      int num_aggregates);
 
-/// HyperLogLog distinct-count estimate over a device column. One streaming
-/// kernel; typical error ~1.04/sqrt(2^precision_bits) (~1.6% at 12 bits).
-Result<uint64_t> EstimateDistinct(vgpu::Device& device, const DeviceColumn& column,
+/// What one scan of a key column learns about it.
+struct KeyStats {
+  /// HyperLogLog distinct-count estimate (>= 1).
+  uint64_t distinct = 1;
+  /// Exact extremes. An empty column reports min > max.
+  int64_t min = 0;
+  int64_t max = 0;
+};
+
+/// One streaming kernel over a device column: a HyperLogLog distinct-count
+/// estimate (typical error ~1.04/sqrt(2^precision_bits), ~1.6% at 12 bits)
+/// plus the exact min and max. The extremes are two register compares per
+/// element beside the hash, so the scan's charge stays one memory-bound
+/// read.
+Result<KeyStats> EstimateKeyStats(vgpu::Device& device,
+                                  const DeviceColumn& column,
                                   int precision_bits = 12);
 
 /// Estimates the fraction of `probe_keys` values present in `build_keys`

@@ -30,12 +30,16 @@ TEST_P(DistinctEstimateTest, WithinHllErrorBounds) {
   // True distinct (some groups may be missed by the draw at high counts).
   std::set<int64_t> truth(host.columns[0].values.begin(),
                           host.columns[0].values.end());
-  auto est = stats::EstimateDistinct(device, t.column(0));
+  auto est = stats::EstimateKeyStats(device, t.column(0));
   ASSERT_OK(est);
-  const double error =
-      std::abs(static_cast<double>(*est) - static_cast<double>(truth.size())) /
-      static_cast<double>(truth.size());
-  EXPECT_LT(error, 0.10) << "estimate " << *est << " vs truth " << truth.size();
+  const double error = std::abs(static_cast<double>(est->distinct) -
+                                static_cast<double>(truth.size())) /
+                       static_cast<double>(truth.size());
+  EXPECT_LT(error, 0.10) << "estimate " << est->distinct << " vs truth "
+                         << truth.size();
+  // The same scan reports the exact key range.
+  EXPECT_EQ(est->min, *truth.begin());
+  EXPECT_EQ(est->max, *truth.rbegin());
 }
 
 INSTANTIATE_TEST_SUITE_P(Cardinalities, DistinctEstimateTest,
@@ -45,8 +49,8 @@ TEST(DistinctEstimateTest, RejectsBadPrecision) {
   vgpu::Device device = MakeTestDevice();
   auto col =
       DeviceColumn::FromHost(device, DataType::kInt32, {{1, 2, 3}}).ValueOrDie();
-  EXPECT_FALSE(stats::EstimateDistinct(device, col, 2).ok());
-  EXPECT_FALSE(stats::EstimateDistinct(device, col, 30).ok());
+  EXPECT_FALSE(stats::EstimateKeyStats(device, col, 2).ok());
+  EXPECT_FALSE(stats::EstimateKeyStats(device, col, 30).ok());
 }
 
 TEST(MatchRatioEstimateTest, TracksTrueRatio) {
@@ -92,6 +96,35 @@ TEST(GroupByPlannerTest, SkewPicksPartitioned) {
   EXPECT_EQ(ChooseGroupByAlgo(device, f),
             groupby::GroupByAlgo::kHashPartitioned);
   EXPECT_NE(ExplainGroupByChoice(device, f).find("GB-HASH-PART"),
+            std::string::npos);
+}
+
+TEST(GroupByPlannerTest, PricesTheGlobalTableThatWillRun) {
+  vgpu::Device device(vgpu::DeviceConfig::A100());
+  groupby::GroupByFeatures f;
+  f.rows = 1 << 24;
+  f.estimated_groups = 1 << 19;  // Hashed table: 2^19 x 48 B x 2 > L2 / 2.
+  EXPECT_EQ(ChooseGroupByAlgo(device, f),
+            groupby::GroupByAlgo::kHashPartitioned);
+  EXPECT_NE(ExplainGroupByChoice(device, f).find("global=hashed("),
+            std::string::npos);
+
+  // A dense range of 2^19 keys direct-maps: 2^19 x 16 B of accumulators,
+  // no key array, no load-factor headroom. It fits the L2.
+  f.key_min = -(1 << 18);
+  f.key_max = (1 << 18) - 1;
+  EXPECT_EQ(ChooseGroupByAlgo(device, f), groupby::GroupByAlgo::kHashGlobal);
+  const std::string direct = ExplainGroupByChoice(device, f);
+  EXPECT_NE(direct.find("global=direct(" + std::to_string((1 << 19) * 16) +
+                        "B)"),
+            std::string::npos)
+      << direct;
+
+  // A range wider than the hashed table's slots prices the hashed table.
+  f.key_max = int64_t{1} << 40;
+  EXPECT_EQ(ChooseGroupByAlgo(device, f),
+            groupby::GroupByAlgo::kHashPartitioned);
+  EXPECT_NE(ExplainGroupByChoice(device, f).find("global=hashed("),
             std::string::npos);
 }
 

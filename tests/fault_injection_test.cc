@@ -512,6 +512,33 @@ INSTANTIATE_TEST_SUITE_P(
       return name;
     });
 
+// GB-HASH-GLOBAL allocates a different table per key domain: the dense
+// sweep input above direct-maps (accumulators only), the same rows with
+// spread keys hash (key array + accumulators). Both tables' allocation
+// points fail cleanly with zero leaks.
+TEST(GroupByTableFailureSweepTest, DirectAndHashedGlobalTablesFailCleanly) {
+  const groupby::GroupBySpec spec = SweepGroupBySpec();
+  const HostTable dense = SweepGroupByWorkload();
+  HostTable sparse = dense;
+  for (int64_t& k : sparse.columns[0].values) k = k * 1023 - 5000;
+  uint64_t allocations[2] = {0, 0};
+  for (int i = 0; i < 2; ++i) {
+    const HostTable& input = i == 0 ? dense : sparse;
+    auto run_query = [&](Device& device) -> Result<Rows> {
+      GPUJOIN_ASSIGN_OR_RETURN(Table t, Table::FromHost(device, input));
+      GPUJOIN_ASSIGN_OR_RETURN(
+          groupby::GroupByRunResult gr,
+          groupby::RunGroupBy(device, groupby::GroupByAlgo::kHashGlobal, t,
+                              spec, {}));
+      return join::CanonicalRows(gr.output.ToHost());
+    };
+    allocations[i] = RunBaseline(run_query).query_allocations;
+    ExhaustiveFailureSweep(i == 0 ? "direct-mapped" : "hashed", run_query);
+  }
+  // The hashed table's extra allocation is its key array.
+  EXPECT_EQ(allocations[0] + 1, allocations[1]);
+}
+
 // Chaos variant: probabilistic injection across many seeds; whatever
 // happens, the device must come back leak-free and replayable.
 TEST(FaultChaosTest, ProbabilisticFaultsNeverLeak) {

@@ -127,7 +127,8 @@ TEST_F(TraceTest, GroupBySpanTreeShapePerStrategy) {
       {groupby::GroupByAlgo::kHashGlobal, {"estimate", "aggregate", "emit"}},
       {groupby::GroupByAlgo::kHashPartitioned,
        {"estimate", "transform", "aggregate", "emit"}},
-      {groupby::GroupByAlgo::kSortBased, {"transform", "aggregate", "emit"}},
+      {groupby::GroupByAlgo::kSortBased,
+       {"estimate", "transform", "aggregate", "emit"}},
   };
   for (const Expectation& e : expectations) {
     obs::Tracer::Global().Clear();

@@ -129,23 +129,37 @@ TEST(PerfShapeTest, GroupByCardinalityCrossover) {
   vgpu::Device device = MakeShapeDevice();
   groupby::GroupBySpec gs;
   gs.aggregates = {{1, groupby::AggOp::kSum}};
-  auto run = [&](uint64_t groups, groupby::GroupByAlgo algo) {
+  // `stride` spreads the dense generator keys over stride x the range; an
+  // odd stride keeps their low bits (the partition digits) uniform.
+  auto run = [&](uint64_t groups, groupby::GroupByAlgo algo, int64_t stride) {
     workload::GroupByWorkloadSpec spec;
     spec.rows = kN;
     spec.num_groups = groups;
     auto host = workload::GenerateGroupByInput(spec).ValueOrDie();
+    for (int64_t& k : host.columns[0].values) k *= stride;
     auto t = Table::FromHost(device, host).ValueOrDie();
     device.FlushL2();
     return RunGroupBy(device, algo, t, gs).ValueOrDie().phases.total_s();
   };
   // Low cardinality: the global table is cache-resident and competitive.
-  // High cardinality: the partitioned variant wins decisively.
-  const double hash_hi = run(kN / 2, groupby::GroupByAlgo::kHashGlobal);
-  const double part_hi = run(kN / 2, groupby::GroupByAlgo::kHashPartitioned);
+  // High cardinality: the partitioned variant wins decisively over the
+  // hashed global table (sparse keys: the range exceeds the table's slots).
+  constexpr int64_t kSparse = 1023;
+  const double hash_hi = run(kN / 2, groupby::GroupByAlgo::kHashGlobal, kSparse);
+  const double part_hi =
+      run(kN / 2, groupby::GroupByAlgo::kHashPartitioned, kSparse);
   EXPECT_LT(part_hi * 2, hash_hi);
-  const double hash_lo = run(64, groupby::GroupByAlgo::kHashGlobal);
-  const double part_lo = run(64, groupby::GroupByAlgo::kHashPartitioned);
+  const double hash_lo = run(64, groupby::GroupByAlgo::kHashGlobal, 1);
+  const double part_lo = run(64, groupby::GroupByAlgo::kHashPartitioned, 1);
   EXPECT_LT(hash_lo, part_lo * 2);  // No collapse at low cardinality.
+  // Dense keys direct-map the global table: no key array, no probes. It
+  // beats the hashed table at the same cardinality, and partitioning
+  // still wins at high cardinality.
+  const double direct_hi = run(kN / 2, groupby::GroupByAlgo::kHashGlobal, 1);
+  const double part_dense_hi =
+      run(kN / 2, groupby::GroupByAlgo::kHashPartitioned, 1);
+  EXPECT_LT(direct_hi * 1.5, hash_hi);
+  EXPECT_LT(part_dense_hi, direct_hi);
 }
 
 }  // namespace
