@@ -13,8 +13,7 @@
 // deterministic order (replayable fault injection) and the output is
 // bit-identical at any thread count.
 //
-// Output schema matches cpubase::CpuRadixJoin and the device joins:
-// [key, r payloads..., s payloads...].
+// Output schema matches the device joins: [key, r payloads..., s payloads...].
 
 #ifndef GPUJOIN_CPUX_JOIN_H_
 #define GPUJOIN_CPUX_JOIN_H_

@@ -163,7 +163,7 @@ inline void GatherI64(const int64_t* src, const uint32_t* ids, uint64_t n,
 }
 
 /// Radix digit of a key for partitioning (low `bits` key bits, matching
-/// the device and cpubase partitioners).
+/// the device partitioners).
 inline uint32_t PartitionDigit(int64_t key, int bits) {
   return bit_util::RadixDigit(key, 0, bits);
 }

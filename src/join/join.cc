@@ -235,6 +235,17 @@ Result<JoinRunResult> JoinDriver(vgpu::Device& device, JoinAlgo algo,
   res.phases.transform_s = t1 - t0;
 
   // ============================ Match finding ============================
+  // A narrow join's payloads rode the transform: the match sweep writes them
+  // into the output itself (no positions, no gathers). Wide joins and NPHJ
+  // emit positions for the materialization phase.
+  const bool emit_payloads = narrow_join && algo != JoinAlgo::kNphj;
+  auto side_emit = [&](const SideDesc& side, const SideState<K>& state) {
+    if (!emit_payloads) return prim::SideEmit::Positions();
+    if (side.n_payloads == 0) return prim::SideEmit::Nothing();
+    return prim::SideEmit::Payload(algo == JoinAlgo::kPhjUm ? state.bc_pay1
+                                                            : state.t_pay1);
+  };
+  const prim::MatchEmit emit{side_emit(rd, rs), side_emit(sd, ss)};
   prim::MatchResult<K> match;
   std::optional<obs::TraceSpan> match_span;
   match_span.emplace(device, "phase", "match");
@@ -244,18 +255,21 @@ Result<JoinRunResult> JoinDriver(vgpu::Device& device, JoinAlgo algo,
     case JoinAlgo::kSmjUm:
     case JoinAlgo::kSmjOm: {
       GPUJOIN_ASSIGN_OR_RETURN(
-          match, prim::MergeJoinSorted(device, rs.t_keys, ss.t_keys, opts.pk_fk));
+          match, prim::MergeJoinSorted(device, rs.t_keys, ss.t_keys,
+                                       opts.pk_fk, emit));
       break;
     }
     case JoinAlgo::kPhjOm: {
       GPUJOIN_ASSIGN_OR_RETURN(
           match, prim::HashJoinCoPartitioned(device, rs.t_keys, ss.t_keys,
-                                             rs.offsets, ss.offsets, capacity));
+                                             rs.offsets, ss.offsets, capacity,
+                                             emit));
       break;
     }
     case JoinAlgo::kPhjUm: {
       GPUJOIN_ASSIGN_OR_RETURN(
-          match, prim::HashJoinBucketChains(device, *rs.bc, *ss.bc, capacity));
+          match, prim::HashJoinBucketChains(device, *rs.bc, *ss.bc, capacity,
+                                            emit));
       break;
     }
     case JoinAlgo::kNphj: {
@@ -290,28 +304,20 @@ Result<JoinRunResult> JoinDriver(vgpu::Device& device, JoinAlgo algo,
     }
   }
 
-  // Build the output key column (written during match finding).
+  // The output key column and a narrow join's payloads were written during
+  // match finding.
   std::vector<std::string> out_names;
   std::vector<DeviceColumn> out_cols;
   out_names.push_back(r.column_name(0));
   out_cols.push_back(WrapKeyBuffer<K>(std::move(match.keys)));
-
-  // Narrow-side payloads of a narrow join are emitted during match finding.
-  auto emit_narrow_side = [&](const SideDesc& side, SideState<K>* state,
-                              const vgpu::DeviceBuffer<RowId>& pos) -> Status {
-    const DeviceColumn& pool = algo == JoinAlgo::kPhjUm ? state->bc_pay1
-                                                        : state->t_pay1;
-    GPUJOIN_ASSIGN_OR_RETURN(auto col, GatherColumn(device, pool, pos));
-    out_names.push_back(side.table->column_name(1));
-    out_cols.push_back(std::move(col));
-    return Status::OK();
-  };
-  if (narrow_join && algo != JoinAlgo::kNphj) {
+  if (emit_payloads) {
     if (rd.n_payloads == 1) {
-      GPUJOIN_RETURN_IF_ERROR(emit_narrow_side(rd, &rs, match.r_pos));
+      out_names.push_back(r.column_name(1));
+      out_cols.push_back(std::move(match.r_pay));
     }
     if (sd.n_payloads == 1) {
-      GPUJOIN_RETURN_IF_ERROR(emit_narrow_side(sd, &ss, match.s_pos));
+      out_names.push_back(s.column_name(1));
+      out_cols.push_back(std::move(match.s_pay));
     }
   }
 
@@ -339,10 +345,10 @@ Result<JoinRunResult> JoinDriver(vgpu::Device& device, JoinAlgo algo,
 
   // ============================ Materialization ==========================
   // NPHJ always materializes through gathers (it has no transform to ride);
-  // the other implementations already emitted narrow-join payloads above.
+  // the other implementations emitted narrow-join payloads while matching.
   // Output payload columns are allocated lazily, one per gather, matching
   // Algorithm 1's free-on-exit discipline.
-  if (!narrow_join || algo == JoinAlgo::kNphj) {
+  if (!emit_payloads) {
     obs::TraceSpan mat_span(device, "phase", "materialize");
     vgpu::AllocTagScope mat_tag(device, "join:materialize");
     // R side, then S side; first payload (if transformed) gathers from the

@@ -382,13 +382,16 @@ Result<vgpu::DeviceBuffer<V>> ApplyBucketChainToValues(
 /// iterate the build side's chain bucket by bucket, build a shared-memory
 /// table from the bucket, and probe with the probe side's chain (§3.2's
 /// block-nested-loop over build buckets). Positions refer to the final key
-/// pools of the respective layouts. One partition per thread block; count
-/// sweep, then a write sweep into precomputed per-partition output ranges.
+/// pools of the respective layouts; an emitted payload (`emit`) is the
+/// side's value pool replayed through the same layout. One partition per
+/// thread block; count sweep, then a write sweep into precomputed
+/// per-partition output ranges.
 template <typename K>
 Result<MatchResult<K>> HashJoinBucketChains(vgpu::Device& device,
                                             const BucketChainLayout<K>& r,
                                             const BucketChainLayout<K>& s,
-                                            uint64_t capacity) {
+                                            uint64_t capacity,
+                                            const MatchEmit& emit = {}) {
   if (r.starts.size() != s.starts.size()) {
     return Status::InvalidArgument("HashJoinBucketChains: partition mismatch");
   }
@@ -445,13 +448,8 @@ Result<MatchResult<K>> HashJoinBucketChains(vgpu::Device& device,
     out_base[p + 1] = out_base[p] + part_matches[p];
   }
   const uint64_t n_matches = out_base[num_parts];
-  MatchResult<K> out;
-  GPUJOIN_ASSIGN_OR_RETURN(out.keys,
-                           vgpu::DeviceBuffer<K>::Allocate(device, n_matches));
-  GPUJOIN_ASSIGN_OR_RETURN(
-      out.r_pos, vgpu::DeviceBuffer<RowId>::Allocate(device, n_matches));
-  GPUJOIN_ASSIGN_OR_RETURN(
-      out.s_pos, vgpu::DeviceBuffer<RowId>::Allocate(device, n_matches));
+  GPUJOIN_ASSIGN_OR_RETURN(auto out,
+                           MatchWriter<K>::Create(device, n_matches, emit));
 
   {
     vgpu::KernelScope ks(device, "phj_um_probe_write");
@@ -462,6 +460,7 @@ Result<MatchResult<K>> HashJoinBucketChains(vgpu::Device& device,
           if (rn == 0 || sn == 0) return Status::OK();
           std::vector<int64_t> slot_keys(table_size, kEmptySlot);
           std::vector<RowId> slot_pos(table_size, 0);
+          BuildPayloadLoads r_loads(emit.r, ctx, warp);
           uint64_t o = out_base[p];
           for (uint64_t chunk = 0; chunk < rn; chunk += chunk_elems) {
             const uint64_t cn = std::min(chunk_elems, rn - chunk);
@@ -480,32 +479,27 @@ Result<MatchResult<K>> HashJoinBucketChains(vgpu::Device& device,
               const uint64_t scn = std::min<uint64_t>(s.bucket_elems, sn - sc);
               ctx.Compute(4);
               ctx.LoadSeq(s.keys.addr(sb + sc), scn, sizeof(K));
+              out.StreamS(ctx, sb + sc, scn);
               ctx.SharedAccess(bit_util::CeilDiv(scn, warp) * 2);
               for (uint64_t j = 0; j < scn; ++j) {
                 const uint64_t spos = sb + sc + j;
                 uint64_t h = HashToSlot(static_cast<int64_t>(s.keys[spos]), mask);
                 while (slot_keys[h] != kEmptySlot) {
                   if (slot_keys[h] == static_cast<int64_t>(s.keys[spos])) {
-                    out.keys[o] = s.keys[spos];
-                    out.r_pos[o] = slot_pos[h];
-                    out.s_pos[o] = static_cast<RowId>(spos);
-                    ++o;
+                    out.Put(o++, s.keys[spos], slot_pos[h], spos);
+                    r_loads.Add(slot_pos[h]);
                   }
                   h = (h + 1) & mask;
                 }
               }
             }
+            r_loads.Flush();
           }
-          const uint64_t len = out_base[p + 1] - out_base[p];
-          if (len > 0) {
-            ctx.StoreSeq(out.keys.addr(out_base[p]), len, sizeof(K));
-            ctx.StoreSeq(out.r_pos.addr(out_base[p]), len, sizeof(RowId));
-            ctx.StoreSeq(out.s_pos.addr(out_base[p]), len, sizeof(RowId));
-          }
+          out.Flush(ctx, out_base[p], out_base[p + 1] - out_base[p]);
           return Status::OK();
         }));
   }
-  return out;
+  return std::move(out).Take();
 }
 
 }  // namespace gpujoin::prim

@@ -19,6 +19,8 @@
 // block against the read-only table.
 //
 // Both run a count sweep + write sweep (deterministic, clustered output).
+// NPHJ always emits positions: its materialization gathers through them,
+// cuDF-style gather maps.
 
 #ifndef GPUJOIN_PRIM_HASH_JOIN_H_
 #define GPUJOIN_PRIM_HASH_JOIN_H_
@@ -53,14 +55,18 @@ uint64_t SharedHashCapacity(const vgpu::Device& device) {
 }
 
 /// Inner hash join of co-partitioned key arrays. r_offsets/s_offsets are the
-/// partition boundaries (size P+1) of r_keys/s_keys. Emits positions into
-/// the partitioned arrays (virtual IDs). Output is probe-major per partition,
-/// so positions are clustered. `capacity` is the shared-table entry budget.
+/// partition boundaries (size P+1) of r_keys/s_keys. Emits, per side,
+/// positions into the partitioned arrays (virtual IDs) or the payload that
+/// rode the partitioning (`emit`; the probe side's streams with its keys,
+/// the build side's is read at the matched position). Output is probe-major
+/// per partition, so positions are clustered. `capacity` is the shared-table
+/// entry budget.
 template <typename K>
 Result<MatchResult<K>> HashJoinCoPartitioned(
     vgpu::Device& device, const vgpu::DeviceBuffer<K>& r_keys,
     const vgpu::DeviceBuffer<K>& s_keys, const std::vector<uint64_t>& r_offsets,
-    const std::vector<uint64_t>& s_offsets, uint64_t capacity) {
+    const std::vector<uint64_t>& s_offsets, uint64_t capacity,
+    const MatchEmit& emit = {}) {
   if (r_offsets.size() != s_offsets.size() || r_offsets.empty()) {
     return Status::InvalidArgument("HashJoinCoPartitioned: offset size mismatch");
   }
@@ -115,13 +121,8 @@ Result<MatchResult<K>> HashJoinCoPartitioned(
     out_base[p + 1] = out_base[p] + part_matches[p];
   }
   const uint64_t n_matches = out_base[num_parts];
-  MatchResult<K> out;
-  GPUJOIN_ASSIGN_OR_RETURN(out.keys,
-                           vgpu::DeviceBuffer<K>::Allocate(device, n_matches));
-  GPUJOIN_ASSIGN_OR_RETURN(
-      out.r_pos, vgpu::DeviceBuffer<RowId>::Allocate(device, n_matches));
-  GPUJOIN_ASSIGN_OR_RETURN(
-      out.s_pos, vgpu::DeviceBuffer<RowId>::Allocate(device, n_matches));
+  GPUJOIN_ASSIGN_OR_RETURN(auto out,
+                           MatchWriter<K>::Create(device, n_matches, emit));
 
   // --- Write sweep: same block decomposition; each block emits into its
   // precomputed contiguous output range.
@@ -134,6 +135,7 @@ Result<MatchResult<K>> HashJoinCoPartitioned(
           if (rb == re || sb == se) return Status::OK();
           std::vector<int64_t> slot_keys(table_size, kEmptySlot);
           std::vector<RowId> slot_pos(table_size, 0);
+          BuildPayloadLoads r_loads(emit.r, ctx, warp);
           uint64_t o = out_base[p];
           for (uint64_t chunk = rb; chunk < re; chunk += capacity) {
             const uint64_t ce = std::min(re, chunk + capacity);
@@ -147,31 +149,26 @@ Result<MatchResult<K>> HashJoinCoPartitioned(
               slot_pos[h] = static_cast<RowId>(i);
             }
             ctx.LoadSeq(s_keys.addr(sb), se - sb, sizeof(K));
+            out.StreamS(ctx, sb, se - sb);
             ctx.SharedAccess(bit_util::CeilDiv(se - sb, warp) * 2);
             for (uint64_t j = sb; j < se; ++j) {
               uint64_t h = HashToSlot(static_cast<int64_t>(s_keys[j]), mask);
               while (slot_keys[h] != kEmptySlot) {
                 if (slot_keys[h] == static_cast<int64_t>(s_keys[j])) {
-                  out.keys[o] = s_keys[j];
-                  out.r_pos[o] = slot_pos[h];
-                  out.s_pos[o] = static_cast<RowId>(j);
-                  ++o;
+                  out.Put(o++, s_keys[j], slot_pos[h], j);
+                  r_loads.Add(slot_pos[h]);
                 }
                 h = (h + 1) & mask;
               }
             }
+            r_loads.Flush();
           }
-          // The partition's matches flush as one contiguous run per array.
-          const uint64_t len = out_base[p + 1] - out_base[p];
-          if (len > 0) {
-            ctx.StoreSeq(out.keys.addr(out_base[p]), len, sizeof(K));
-            ctx.StoreSeq(out.r_pos.addr(out_base[p]), len, sizeof(RowId));
-            ctx.StoreSeq(out.s_pos.addr(out_base[p]), len, sizeof(RowId));
-          }
+          // The partition's matches flush as one contiguous run per column.
+          out.Flush(ctx, out_base[p], out_base[p + 1] - out_base[p]);
           return Status::OK();
         }));
   }
-  return out;
+  return std::move(out).Take();
 }
 
 /// Non-partitioned hash join: global-memory table, random accesses.
@@ -263,13 +260,8 @@ Result<MatchResult<K>> HashJoinGlobal(vgpu::Device& device,
     tile_base[t + 1] = tile_base[t] + tile_matches[t];
   }
   const uint64_t n_matches = tile_base[n_tiles];
-  MatchResult<K> out;
-  GPUJOIN_ASSIGN_OR_RETURN(out.keys,
-                           vgpu::DeviceBuffer<K>::Allocate(device, n_matches));
-  GPUJOIN_ASSIGN_OR_RETURN(
-      out.r_pos, vgpu::DeviceBuffer<RowId>::Allocate(device, n_matches));
-  GPUJOIN_ASSIGN_OR_RETURN(
-      out.s_pos, vgpu::DeviceBuffer<RowId>::Allocate(device, n_matches));
+  GPUJOIN_ASSIGN_OR_RETURN(auto out,
+                           MatchWriter<K>::Create(device, n_matches, {}));
 
   {
     vgpu::KernelScope ks(device, "nphj_probe_write");
@@ -290,10 +282,7 @@ Result<MatchResult<K>> HashJoinGlobal(vgpu::Device& device,
               uint64_t steps = 1;
               while (table_keys[h] != kEmptySlot) {
                 if (table_keys[h] == static_cast<int64_t>(s_keys[idx])) {
-                  out.keys[o] = s_keys[idx];
-                  out.r_pos[o] = table_pos[h];
-                  out.s_pos[o] = static_cast<RowId>(idx);
-                  ++o;
+                  out.Put(o++, s_keys[idx], table_pos[h], idx);
                 }
                 h = (h + 1) & mask;
                 ++steps;
@@ -302,16 +291,11 @@ Result<MatchResult<K>> HashJoinGlobal(vgpu::Device& device,
             }
             ctx.Load({addrs, lanes}, sizeof(int64_t) + sizeof(RowId));
           }
-          const uint64_t len = tile_base[tile + 1] - tile_base[tile];
-          if (len > 0) {
-            ctx.StoreSeq(out.keys.addr(tile_base[tile]), len, sizeof(K));
-            ctx.StoreSeq(out.r_pos.addr(tile_base[tile]), len, sizeof(RowId));
-            ctx.StoreSeq(out.s_pos.addr(tile_base[tile]), len, sizeof(RowId));
-          }
+          out.Flush(ctx, tile_base[tile], tile_base[tile + 1] - tile_base[tile]);
           return Status::OK();
         }));
   }
-  return out;
+  return std::move(out).Take();
 }
 
 }  // namespace gpujoin::prim

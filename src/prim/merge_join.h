@@ -6,8 +6,9 @@
 //
 // Like the real implementations, match finding runs in two sweeps: a count
 // sweep to size the output, an exclusive scan, and a write sweep that emits
-// (key, r_pos, s_pos) sequentially. For PK-FK inputs the paper notes a
-// single Merge Path descent suffices; we charge the descent accordingly.
+// each match's key plus, per side, its position or its payload (match.h)
+// sequentially. For PK-FK inputs the paper notes a single Merge Path descent
+// suffices; we charge the descent accordingly.
 //
 // Parallel simulation: the segment decomposition is materialized explicitly
 // — S is tiled and each tile boundary snapped forward to the next key-run
@@ -42,11 +43,13 @@ inline constexpr uint64_t kMergeTileElems = 4096;
 
 /// Inner merge join of sorted r_keys and s_keys.
 /// `pk_fk`: R keys are unique (primary keys) — halves the Merge Path setup.
+/// `emit`: per side, positions (default), the payload that rode the sort
+/// (loaded sequentially with the segment's keys), or nothing.
 template <typename K>
 Result<MatchResult<K>> MergeJoinSorted(vgpu::Device& device,
                                        const vgpu::DeviceBuffer<K>& r_keys,
                                        const vgpu::DeviceBuffer<K>& s_keys,
-                                       bool pk_fk) {
+                                       bool pk_fk, const MatchEmit& emit = {}) {
   const uint64_t nr = r_keys.size();
   const uint64_t ns = s_keys.size();
   const int warp = device.config().warp_size;
@@ -136,13 +139,8 @@ Result<MatchResult<K>> MergeJoinSorted(vgpu::Device& device,
   }
   const uint64_t n_matches = out_base[n_segs];
 
-  MatchResult<K> out;
-  GPUJOIN_ASSIGN_OR_RETURN(out.keys,
-                           vgpu::DeviceBuffer<K>::Allocate(device, n_matches));
-  GPUJOIN_ASSIGN_OR_RETURN(
-      out.r_pos, vgpu::DeviceBuffer<RowId>::Allocate(device, n_matches));
-  GPUJOIN_ASSIGN_OR_RETURN(
-      out.s_pos, vgpu::DeviceBuffer<RowId>::Allocate(device, n_matches));
+  GPUJOIN_ASSIGN_OR_RETURN(auto out,
+                           MatchWriter<K>::Create(device, n_matches, emit));
 
   // --- Sweep 2: write matches into per-segment output ranges.
   {
@@ -153,24 +151,19 @@ Result<MatchResult<K>> MergeJoinSorted(vgpu::Device& device,
           const uint64_t sn = s_bounds[k + 1] - s_bounds[k];
           if (rn > 0) ctx.LoadSeq(r_keys.addr(r_bounds[k]), rn, sizeof(K));
           if (sn > 0) ctx.LoadSeq(s_keys.addr(s_bounds[k]), sn, sizeof(K));
+          out.StreamR(ctx, r_bounds[k], rn);
+          out.StreamS(ctx, s_bounds[k], sn);
           uint64_t o = out_base[k];
           walk_segment(k, [&](uint64_t r, uint64_t s, K key) {
-            out.keys[o] = key;
-            out.r_pos[o] = static_cast<RowId>(r);
-            out.s_pos[o] = static_cast<RowId>(s);
-            ++o;
+            out.Put(o++, key, r, s);
           });
           const uint64_t len = out_base[k + 1] - out_base[k];
-          if (len > 0) {
-            ctx.StoreSeq(out.keys.addr(out_base[k]), len, sizeof(K));
-            ctx.StoreSeq(out.r_pos.addr(out_base[k]), len, sizeof(RowId));
-            ctx.StoreSeq(out.s_pos.addr(out_base[k]), len, sizeof(RowId));
-          }
+          out.Flush(ctx, out_base[k], len);
           ctx.Compute(bit_util::CeilDiv(rn + sn + len, warp));
           return Status::OK();
         }));
   }
-  return out;
+  return std::move(out).Take();
 }
 
 }  // namespace gpujoin::prim

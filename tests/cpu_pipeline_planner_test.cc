@@ -1,11 +1,9 @@
-// The CPU baseline join, the multi-join pipeline, and the Figure 18
-// planner decision trees.
+// The multi-join pipeline and the Figure 18 planner decision trees.
 
 #include <gtest/gtest.h>
 
 #include <map>
 
-#include "cpubase/cpu_radix_join.h"
 #include "join/pipeline.h"
 #include "join/planner.h"
 #include "join/reference.h"
@@ -16,50 +14,6 @@ namespace gpujoin {
 namespace {
 
 using testing::MakeTestDevice;
-
-TEST(CpuRadixJoinTest, MatchesReferenceOracle) {
-  workload::JoinWorkloadSpec spec;
-  spec.r_rows = 3000;
-  spec.s_rows = 7000;
-  spec.r_payload_cols = 2;
-  spec.s_payload_cols = 1;
-  spec.match_ratio = 0.8;
-  auto w = workload::GenerateJoinInput(spec).ValueOrDie();
-
-  cpubase::CpuJoinOptions opts;
-  opts.keep_output = true;
-  HostTable out;
-  auto res = cpubase::CpuRadixJoin(w.r, w.s, opts, &out);
-  ASSERT_OK(res);
-  const auto expected = join::ReferenceJoinRows(w.r, w.s);
-  EXPECT_EQ(res->output_rows, expected.size());
-  EXPECT_EQ(join::CanonicalRows(out), expected);
-  EXPECT_GT(res->seconds, 0);
-}
-
-TEST(CpuRadixJoinTest, HandlesManyToMany) {
-  HostTable r{"r", {{"k", DataType::kInt32, {1, 1, 2}},
-                    {"p", DataType::kInt32, {10, 11, 20}}}};
-  HostTable s{"s", {{"k", DataType::kInt32, {1, 2, 2, 3}},
-                    {"q", DataType::kInt32, {7, 8, 9, 6}}}};
-  HostTable out;
-  cpubase::CpuJoinOptions opts;
-  opts.keep_output = true;
-  auto res = cpubase::CpuRadixJoin(r, s, opts, &out);
-  ASSERT_OK(res);
-  EXPECT_EQ(res->output_rows, 4u);  // key 1: 2, key 2: 2.
-  EXPECT_EQ(join::CanonicalRows(out), join::ReferenceJoinRows(r, s));
-}
-
-TEST(CpuRadixJoinTest, ValidatesOptions) {
-  HostTable r{"r", {{"k", DataType::kInt32, {1}}}};
-  HostTable s{"s", {{"k", DataType::kInt32, {1}}}};
-  cpubase::CpuJoinOptions opts;
-  opts.bits_per_pass = 0;
-  EXPECT_FALSE(cpubase::CpuRadixJoin(r, s, opts).ok());
-  opts.bits_per_pass = 13;
-  EXPECT_FALSE(cpubase::CpuRadixJoin(r, s, opts).ok());
-}
 
 class PipelineTest : public ::testing::TestWithParam<join::JoinAlgo> {};
 

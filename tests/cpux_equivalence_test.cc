@@ -16,6 +16,7 @@
 #include "join/reference.h"
 #include "test_util.h"
 #include "workload/generator.h"
+#include "workload/tpc.h"
 
 namespace gpujoin {
 namespace {
@@ -93,6 +94,39 @@ TEST(CpuxJoinEquivalence, AllAlgosMatchReferenceOnAllVariants) {
       EXPECT_EQ(res.output_rows, expected.size())
           << variant.name << " / " << join::JoinAlgoName(algo);
       EXPECT_OK(ctx.CheckNoLeaks());
+    }
+  }
+}
+
+// Duplicate keys on both sides: a handwritten cross product and the
+// TPC-DS Q95-shaped self-join (J5, |T| ≈ 12.6|S|), on every engine, on
+// one thread and on three.
+TEST(CpuxJoinEquivalence, ManyToManyMatchesReference) {
+  std::vector<workload::JoinWorkload> inputs(1);
+  inputs[0].r = HostTable{"r", {{"k", DataType::kInt32, {1, 1, 2}, {}},
+                                {"p", DataType::kInt32, {10, 11, 20}, {}}}};
+  inputs[0].s = HostTable{"s", {{"k", DataType::kInt32, {1, 2, 2, 3}, {}},
+                                {"q", DataType::kInt32, {7, 8, 9, 6}, {}}}};
+  for (const workload::TpcJoinSpec& spec : workload::TpcJoinSpecs()) {
+    if (spec.id != "J5") continue;
+    workload::TpcGenOptions opts;
+    opts.scale_tuples = uint64_t{1} << 13;
+    inputs.push_back(workload::GenerateTpcJoin(spec, opts).ValueOrDie());
+  }
+  ASSERT_EQ(inputs.size(), 2u);
+  for (const workload::JoinWorkload& w : inputs) {
+    const auto expected = join::ReferenceJoinRows(w.r, w.s);
+    for (const join::JoinAlgo algo : join::kAllJoinAlgos) {
+      for (const int threads : {1, 3}) {
+        cpux::Context ctx(threads);
+        ASSERT_OK_AND_ASSIGN(cpux::CpuxRunResult res,
+                             cpux::RunJoin(ctx, algo, w.r, w.s));
+        EXPECT_EQ(join::CanonicalRows(res.output), expected)
+            << w.r.name << " / " << join::JoinAlgoName(algo) << " / "
+            << threads;
+        EXPECT_EQ(res.output_rows, expected.size());
+        EXPECT_OK(ctx.CheckNoLeaks());
+      }
     }
   }
 }

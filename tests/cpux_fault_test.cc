@@ -15,6 +15,7 @@
 #include "test_util.h"
 #include "vgpu/fault.h"
 #include "workload/generator.h"
+#include "workload/tpc.h"
 
 namespace gpujoin {
 namespace {
@@ -78,6 +79,21 @@ void SweepAllAllocationSites(RunFn run) {
 
 TEST(CpuxFault, PartitionedJoinSurvivesEveryAllocationFailure) {
   const workload::JoinWorkload w = JoinInput();
+  SweepAllAllocationSites([&](cpux::Context& ctx) {
+    return cpux::RunJoin(ctx, join::JoinAlgo::kPhjOm, w.r, w.s);
+  });
+}
+
+TEST(CpuxFault, PartitionedJoinSurvivesEveryAllocationFailureOnManyToMany) {
+  // The TPC-DS Q95-shaped self-join: duplicate keys on both sides.
+  workload::JoinWorkload w;
+  for (const workload::TpcJoinSpec& spec : workload::TpcJoinSpecs()) {
+    if (spec.id != "J5") continue;
+    workload::TpcGenOptions opts;
+    opts.scale_tuples = uint64_t{1} << 12;
+    w = workload::GenerateTpcJoin(spec, opts).ValueOrDie();
+  }
+  ASSERT_GT(w.r.num_rows(), 0u);
   SweepAllAllocationSites([&](cpux::Context& ctx) {
     return cpux::RunJoin(ctx, join::JoinAlgo::kPhjOm, w.r, w.s);
   });

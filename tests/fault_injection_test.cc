@@ -10,6 +10,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <string>
 #include <vector>
 
 #include "groupby/groupby.h"
@@ -477,6 +478,50 @@ TEST_P(JoinFailureSweepTest, EveryAllocationPointFailsCleanly) {
 INSTANTIATE_TEST_SUITE_P(
     AllJoinAlgos, JoinFailureSweepTest,
     ::testing::ValuesIn(join::kAllJoinAlgos),
+    [](const ::testing::TestParamInfo<join::JoinAlgo>& info) {
+      std::string name = join::JoinAlgoName(info.param);
+      for (char& c : name) {
+        if (c == '-') c = '_';
+      }
+      return name;
+    });
+
+// Narrow joins on the four algorithms that write payloads in the match
+// sweep: the fused output columns replace the position buffers and the
+// gathers, so the allocation sequence differs from the wide sweep above.
+// Both a 4 B / 8 B payload pair and a keys-only R side are swept.
+class NarrowJoinFailureSweepTest
+    : public ::testing::TestWithParam<join::JoinAlgo> {};
+
+TEST_P(NarrowJoinFailureSweepTest, EveryAllocationPointFailsCleanly) {
+  const join::JoinAlgo algo = GetParam();
+  for (const int r_payloads : {1, 0}) {
+    workload::JoinWorkloadSpec spec;
+    spec.r_rows = 1 << 9;
+    spec.s_rows = 1 << 10;
+    spec.r_payload_cols = r_payloads;
+    spec.s_payload_type = DataType::kInt64;
+    spec.seed = 7;
+    const workload::JoinWorkload w =
+        workload::GenerateJoinInput(spec).ValueOrDie();
+    auto run_query = [&](Device& device) -> Result<Rows> {
+      GPUJOIN_ASSIGN_OR_RETURN(Table r, Table::FromHost(device, w.r));
+      GPUJOIN_ASSIGN_OR_RETURN(Table s, Table::FromHost(device, w.s));
+      GPUJOIN_ASSIGN_OR_RETURN(join::JoinRunResult jr,
+                               join::RunJoin(device, algo, r, s, {}));
+      return join::CanonicalRows(jr.output.ToHost());
+    };
+    const std::string label = std::string(join::JoinAlgoName(algo)) +
+                              " narrow, R payloads " +
+                              std::to_string(r_payloads);
+    ExhaustiveFailureSweep(label.c_str(), run_query);
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    FusedAlgos, NarrowJoinFailureSweepTest,
+    ::testing::Values(join::JoinAlgo::kSmjUm, join::JoinAlgo::kSmjOm,
+                      join::JoinAlgo::kPhjUm, join::JoinAlgo::kPhjOm),
     [](const ::testing::TestParamInfo<join::JoinAlgo>& info) {
       std::string name = join::JoinAlgoName(info.param);
       for (char& c : name) {

@@ -103,19 +103,42 @@ TEST_F(TraceTest, JoinSpanTreeShapePerAlgorithm) {
 }
 
 TEST_F(TraceTest, NarrowJoinSkipsMaterializePhase) {
-  vgpu::Device device = testing::MakeTestDevice();
+  // SMJ-* and PHJ-* write a narrow join's payloads in the match sweep: no
+  // materialize phase and no gather kernel anywhere. NPHJ keeps its
+  // cuDF-style gather maps: a materialize phase of gathers.
   const workload::JoinWorkload w = SmallJoinWorkload(/*payload_cols=*/1);
-  ASSERT_OK_AND_ASSIGN(Table r, Table::FromHost(device, w.r));
-  ASSERT_OK_AND_ASSIGN(Table s, Table::FromHost(device, w.s));
-  ASSERT_OK(join::RunJoin(device, join::JoinAlgo::kPhjOm, r, s).status());
+  for (join::JoinAlgo algo : join::kAllJoinAlgos) {
+    SCOPED_TRACE(join::JoinAlgoName(algo));
+    obs::Tracer::Global().Clear();
+    vgpu::Device device = testing::MakeTestDevice();
+    ASSERT_OK_AND_ASSIGN(Table r, Table::FromHost(device, w.r));
+    ASSERT_OK_AND_ASSIGN(Table s, Table::FromHost(device, w.s));
+    ASSERT_OK(join::RunJoin(device, algo, r, s).status());
 
-  const auto& spans = obs::Tracer::Global().spans();
-  const obs::SpanRecord* root = FindRoot(spans, "query");
-  ASSERT_NE(root, nullptr);
-  const auto phases = ChildrenOf(spans, root->id, "phase");
-  ASSERT_EQ(phases.size(), 2u);
-  EXPECT_EQ(phases[0]->name, "transform");
-  EXPECT_EQ(phases[1]->name, "match");
+    const auto& spans = obs::Tracer::Global().spans();
+    const obs::SpanRecord* root = FindRoot(spans, "query");
+    ASSERT_NE(root, nullptr);
+    const auto phases = ChildrenOf(spans, root->id, "phase");
+    auto gathers_under = [&](const obs::SpanRecord* phase) {
+      int n = 0;
+      for (const auto* k : ChildrenOf(spans, phase->id, "kernel")) {
+        n += k->name == "gather";
+      }
+      return n;
+    };
+    if (algo == join::JoinAlgo::kNphj) {
+      ASSERT_EQ(phases.size(), 2u);
+      EXPECT_EQ(phases[0]->name, "match");
+      EXPECT_EQ(phases[1]->name, "materialize");
+      EXPECT_EQ(gathers_under(phases[0]), 0);
+      EXPECT_EQ(gathers_under(phases[1]), 2);
+    } else {
+      ASSERT_EQ(phases.size(), 2u);
+      EXPECT_EQ(phases[0]->name, "transform");
+      EXPECT_EQ(phases[1]->name, "match");
+      for (const auto* p : phases) EXPECT_EQ(gathers_under(p), 0) << p->name;
+    }
+  }
 }
 
 TEST_F(TraceTest, GroupBySpanTreeShapePerStrategy) {
