@@ -1,19 +1,28 @@
-// Degradation log and retry policy shared by the resilient query-layer
-// wrappers: every time a wrapper catches a resource failure and moves down
-// its policy ladder (retry, re-plan, out-of-core fallback), it records one
-// step so callers can see exactly how a query was salvaged, and consults one
-// BackoffPolicy for how long to wait (in simulated cycles) before the next
-// attempt.
+// The degradation ladder shared by the resilient query-layer wrappers
+// (join, group-by, join pipeline). Every time a wrapper catches a failure
+// and moves along its ladder (retry, re-plan, out-of-core fallback), it
+// records one step so callers can see exactly how a query was salvaged, and
+// consults one BackoffPolicy for how long to wait (in simulated cycles)
+// before the next attempt. RunLadder is the one retry loop; each operator
+// supplies only its rungs.
 
 #ifndef GPUJOIN_COMMON_RESILIENCE_H_
 #define GPUJOIN_COMMON_RESILIENCE_H_
 
 #include <algorithm>
 #include <cstdint>
+#include <functional>
+#include <optional>
 #include <string>
 #include <vector>
 
+#include "common/status.h"
+
 namespace gpujoin {
+
+namespace vgpu {
+class Device;
+}  // namespace vgpu
 
 /// One rung taken on a degradation ladder.
 struct DegradationStep {
@@ -25,25 +34,16 @@ struct DegradationStep {
   std::string detail;
 };
 
-/// Renders a degradation log as one line per step (for error messages).
-inline std::string FormatDegradation(const std::vector<DegradationStep>& steps) {
-  std::string out;
-  for (const DegradationStep& s : steps) {
-    out += "  - " + s.action + ": " + s.detail + "\n";
-  }
-  return out;
-}
-
 /// Seeded exponential backoff with jitter, measured in SIMULATED cycles so
 /// retry schedules are deterministic and bit-identical on replay (no wall
 /// clock, no global RNG — same contract as vgpu::FaultInjector). One policy
-/// is shared by every retry loop in the query layer: the resilient join /
-/// group-by ladders, the pipeline per-join retry hook, and the service-level
-/// admission queue.
+/// is shared by every retry loop in the query layer: the degradation ladder
+/// (RunLadder) and the service's admission queue and fragment retries.
 struct BackoffPolicy {
-  /// Attempt cap for loops that have no cap of their own (first attempt
-  /// included). Ladders with an explicit budget (ResilienceOptions::
-  /// max_attempts) use the smaller of the two.
+  /// In a ladder: the transient faults it absorbs before kUnavailable
+  /// propagates (attempts across the resource rungs are bounded by the
+  /// ladder's own max_attempts). In the service's admission queue: the
+  /// reservation attempts for a queued query, first try included.
   int max_attempts = 4;
   /// Delay charged before retry #1 (i.e. attempt 2). 0 disables delays
   /// while keeping the attempt cap.
@@ -86,6 +86,43 @@ struct BackoffPolicy {
     return delay;
   }
 };
+
+/// The retry budget of every ladder (join, group-by, pipeline join).
+struct LadderBudget {
+  /// Attempts across the resource rungs, first try included.
+  int max_attempts = 4;
+  /// Delay before every retry, charged to the simulated clock;
+  /// backoff.max_attempts bounds transient retries.
+  BackoffPolicy backoff;
+};
+
+/// One operator's degradation ladder, as data for RunLadder.
+struct Ladder {
+  /// `op` label of the resilience metrics ("join", "groupby", "pipeline").
+  std::string op;
+  /// Error prefix ("RunJoinResilient") and operator name ("PHJ-OM").
+  std::string caller, subject;
+  LadderBudget budget;
+  /// Label of attempt n's `attempt` span (a transient retry re-runs n).
+  std::function<std::string(int n)> span_label;
+  /// Runs the current rung once; a failure must free what it allocated.
+  std::function<Status()> attempt;
+  /// After resource failure `failure` of attempt n: moves to the next rung
+  /// and returns its step, or nullopt when none is left.
+  std::function<std::optional<DegradationStep>(const Status& failure, int n)>
+      escalate;
+};
+
+/// Runs `ladder` until an attempt succeeds, appending every step to `log`;
+/// returns the attempts consumed (transient retries excluded).
+///   - kUnavailable re-runs the same rung (within backoff.max_attempts,
+///     then propagates so the caller can hedge).
+///   - kResourceExhausted / kOutOfMemory escalates; with no rung or budget
+///     left, a structured kResourceExhausted carrying the log.
+///   - Other errors, and a failed attempt that leaked (kInternal),
+///     propagate.
+Result<int> RunLadder(vgpu::Device& device, const Ladder& ladder,
+                      std::vector<DegradationStep>* log);
 
 }  // namespace gpujoin
 

@@ -1,173 +1,62 @@
 #include "groupby/resilient.h"
 
 #include <algorithm>
+#include <optional>
 #include <string>
-#include <utility>
 
-#include "obs/registry.h"
 #include "obs/trace.h"
 
 namespace gpujoin::groupby {
 
-namespace {
-
-bool IsResourceFailure(const Status& st) {
-  return st.code() == StatusCode::kResourceExhausted ||
-         st.code() == StatusCode::kOutOfMemory;
-}
-
-Status VerifyCleanRollback(vgpu::Device& device, uint64_t baseline_live) {
-  const uint64_t live = device.memory_stats().live_bytes;
-  obs::MetricsRegistry::Global().CounterAdd(
-      "vgpu_leak_check_total",
-      {{"op", "groupby"},
-       {"outcome", live == baseline_live ? "clean" : "leak"}});
-  if (live != baseline_live) {
-    return Status::Internal(
-        "RunGroupByResilient: failed attempt left " + std::to_string(live) +
-        " live bytes (entry watermark " + std::to_string(baseline_live) +
-        ")\n" + device.LeakReport());
-  }
-  return Status::OK();
-}
-
-}  // namespace
-
 Result<ResilientGroupByResult> RunGroupByResilient(
     vgpu::Device& device, GroupByAlgo algo, const Table& input,
     const GroupBySpec& spec, const GroupByResilienceOptions& options) {
-  if (options.max_attempts < 1) {
-    return Status::InvalidArgument(
-        "RunGroupByResilient: max_attempts must be >= 1");
-  }
-
   ResilientGroupByResult res;
   obs::TraceSpan query_span(
       device, "query",
       std::string("resilient_groupby:") + GroupByAlgoName(algo));
-  // The input table is resident and stays so: the watermark includes it.
-  const uint64_t baseline_live = device.memory_stats().live_bytes;
-  obs::MetricsRegistry& reg = obs::MetricsRegistry::Global();
-  const uint64_t faults0 = device.memory_stats().injected_failures;
-  const uint64_t kfaults0 = device.fault_injector().injected_kernel_faults() +
-                            device.watchdog_trips();
-  GroupByAlgo current = algo;
+  res.algo_used = algo;
   GroupByOptions gopts = options.groupby;
-  int attempt = 0;
-  int transient_retries = 0;
-  Status last_error = Status::OK();
 
-  while (attempt < options.max_attempts) {
-    ++attempt;
-    Result<GroupByRunResult> run = Status::Internal("unset");
-    {
-      obs::TraceSpan attempt_span(device, "attempt",
-                                  "attempt_" + std::to_string(attempt) + ":" +
-                                      GroupByAlgoName(current));
-      run = RunGroupBy(device, current, input, spec, gopts);
+  const auto span_label = [&](int n) {
+    return "attempt_" + std::to_string(n) + ":" +
+           GroupByAlgoName(res.algo_used);
+  };
+  const auto attempt = [&]() -> Status {
+    GPUJOIN_ASSIGN_OR_RETURN(
+        res.run, RunGroupBy(device, res.algo_used, input, spec, gopts));
+    return Status::OK();
+  };
+  // Rungs by footprint: global table -> partitioned -> more bits -> sort.
+  const auto escalate = [&](const Status& failure,
+                            int) -> std::optional<DegradationStep> {
+    if (res.algo_used == GroupByAlgo::kHashGlobal) {
+      res.algo_used = GroupByAlgo::kHashPartitioned;
+      return DegradationStep{"algo_fallback",
+                             "GB-HASH-GLOBAL failed (" + failure.message() +
+                                 "); falling back to GB-HASH-PART"};
     }
-    if (run.ok()) {
-      res.run = std::move(run).value();
-      res.attempts = attempt;
-      res.algo_used = current;
-      const uint64_t absorbed =
-          device.memory_stats().injected_failures - faults0;
-      if (absorbed > 0) {
-        reg.CounterAdd("vgpu_faults_survived_total", {{"op", "groupby"}},
-                       absorbed);
-      }
-      const uint64_t kernel_absorbed =
-          device.fault_injector().injected_kernel_faults() +
-          device.watchdog_trips() - kfaults0;
-      if (kernel_absorbed > 0) {
-        reg.CounterAdd("vgpu_kernel_faults_survived_total",
-                       {{"op", "groupby"}}, kernel_absorbed);
-      }
-      return res;
+    if (res.algo_used != GroupByAlgo::kHashPartitioned) return std::nullopt;
+    const int bits = gopts.radix_bits_override;
+    if (bits < 16) {
+      gopts.radix_bits_override = std::min(bits <= 0 ? 8 : bits + 2, 16);
+      return DegradationStep{"retry_more_partition_bits",
+                             "GB-HASH-PART failed (" + failure.message() +
+                                 "); retrying with radix_bits=" +
+                                 std::to_string(gopts.radix_bits_override)};
     }
-    if (run.status().IsUnavailable()) {
-      // Transient rung: unwind, clear the sticky fault, seeded backoff, and
-      // re-run the SAME rung (no escalation — the work fits, the backend
-      // hiccuped). Once the transient budget is spent, propagate the
-      // retryable fault so the service layer can hedge backends.
-      obs::TraceInstant(device, "transient_fault", run.status().message());
-      reg.CounterAdd("resilient_transient_faults_total", {{"op", "groupby"}});
-      GPUJOIN_RETURN_IF_ERROR(VerifyCleanRollback(device, baseline_live));
-      device.ClearTransientFault();
-      ++transient_retries;
-      if (transient_retries >= options.backoff.max_attempts) {
-        return Status::Unavailable(
-            run.status().message() + " (attempt " +
-            std::to_string(transient_retries) +
-            "; ladder transient-retry budget exhausted)");
-      }
-      device.AdvanceClock(options.backoff.DelayCycles(transient_retries));
-      GPUJOIN_RETURN_IF_ERROR(obs::CheckLifecycle(device));
-      res.degradation.push_back(
-          {"transient_retry",
-           "transient fault (" + run.status().message() +
-               "); retrying same rung, retry " +
-               std::to_string(transient_retries)});
-      obs::TraceInstant(device, "degradation:transient_retry",
-                        res.degradation.back().detail);
-      reg.CounterAdd("resilient_degradations_total",
-                     {{"op", "groupby"}, {"action", "transient_retry"}});
-      --attempt;  // Transient retries do not consume ladder attempts.
-      continue;
-    }
-    if (!IsResourceFailure(run.status())) return run.status();
-    obs::TraceInstant(device, "resource_failure", run.status().message());
-    reg.CounterAdd("resilient_resource_failures_total", {{"op", "groupby"}});
-    GPUJOIN_RETURN_IF_ERROR(VerifyCleanRollback(device, baseline_live));
-    last_error = run.status();
-    if (attempt >= options.max_attempts) break;
-    device.AdvanceClock(options.backoff.DelayCycles(attempt));
-    GPUJOIN_RETURN_IF_ERROR(obs::CheckLifecycle(device));
-
-    // Pick the next rung.
-    if (current == GroupByAlgo::kHashGlobal && options.allow_algo_fallback) {
-      current = GroupByAlgo::kHashPartitioned;
-      res.degradation.push_back(
-          {"algo_fallback", "GB-HASH-GLOBAL failed (" + last_error.message() +
-                                "); falling back to GB-HASH-PART"});
-      reg.CounterAdd("resilient_degradations_total",
-                     {{"op", "groupby"}, {"action", "algo_fallback"}});
-      continue;
-    }
-    if (current == GroupByAlgo::kHashPartitioned) {
-      const int bits = gopts.radix_bits_override;
-      if (bits < 16) {
-        gopts.radix_bits_override = std::min(bits <= 0 ? 8 : bits + 2, 16);
-        res.degradation.push_back(
-            {"retry_more_partition_bits",
-             "GB-HASH-PART failed (" + last_error.message() +
-                 "); retrying with radix_bits=" +
-                 std::to_string(gopts.radix_bits_override)});
-        reg.CounterAdd(
-            "resilient_degradations_total",
-            {{"op", "groupby"}, {"action", "retry_more_partition_bits"}});
-        continue;
-      }
-      if (options.allow_algo_fallback) {
-        current = GroupByAlgo::kSortBased;
-        res.degradation.push_back(
-            {"algo_fallback", "GB-HASH-PART failed (" + last_error.message() +
-                                  "); falling back to GB-SORT"});
-        reg.CounterAdd("resilient_degradations_total",
-                       {{"op", "groupby"}, {"action", "algo_fallback"}});
-        continue;
-      }
-    }
-    break;  // Sort-based failed, or fallback disabled: no rung left.
-  }
-
-  return Status::ResourceExhausted(
-      "RunGroupByResilient: " + std::string(GroupByAlgoName(algo)) +
-      " failed after " + std::to_string(attempt) +
-      " attempt(s); last error: " + last_error.message() +
-      (res.degradation.empty()
-           ? std::string("; no degradation rung applicable")
-           : "\ndegradation ladder:\n" + FormatDegradation(res.degradation)));
+    res.algo_used = GroupByAlgo::kSortBased;
+    return DegradationStep{"algo_fallback",
+                           "GB-HASH-PART failed (" + failure.message() +
+                               "); falling back to GB-SORT"};
+  };
+  const Ladder ladder{.op = "groupby", .caller = "RunGroupByResilient",
+                      .subject = GroupByAlgoName(algo), .budget = options,
+                      .span_label = span_label, .attempt = attempt,
+                      .escalate = escalate};
+  GPUJOIN_ASSIGN_OR_RETURN(res.attempts,
+                           RunLadder(device, ladder, &res.degradation));
+  return res;
 }
 
 }  // namespace gpujoin::groupby

@@ -1,5 +1,5 @@
-// Resilient grouped aggregation: RunGroupByResilient wraps RunGroupBy with a
-// degradation ladder mirroring the join side (see join/resilient.h):
+// Resilient grouped aggregation: RunGroupByResilient wraps RunGroupBy in the
+// shared degradation ladder (common/resilience.h), ordered by footprint:
 //
 //   1. Attempt with the requested strategy and options.
 //   2. HASH-GLOBAL falls back to HASH-PARTITIONED (the global table is the
@@ -8,8 +8,8 @@
 //   4. Final fallback to SORT-BASED (lowest footprint: one transformed copy).
 //   5. A clean structured ResourceExhausted error carrying the ladder.
 //
-// Failed attempts must restore the device's live-byte watermark; a mismatch
-// is promoted to an Internal error.
+// Transient faults re-run the current rung, and failed attempts must restore
+// the device's live-byte watermark (RunLadder checks both).
 
 #ifndef GPUJOIN_GROUPBY_RESILIENT_H_
 #define GPUJOIN_GROUPBY_RESILIENT_H_
@@ -25,19 +25,10 @@
 
 namespace gpujoin::groupby {
 
-struct GroupByResilienceOptions {
+struct GroupByResilienceOptions : LadderBudget {
   /// Base options for every attempt (the ladder only bumps
   /// radix_bits_override on top of these).
   GroupByOptions groupby;
-  /// Total attempt budget across the whole ladder (first try included).
-  int max_attempts = 4;
-  /// Allow switching to a different aggregation strategy when the requested
-  /// one keeps running out of memory.
-  bool allow_algo_fallback = true;
-  /// Delay schedule between ladder attempts, charged to the simulated clock
-  /// (deterministic; see BackoffPolicy). max_attempts above remains the
-  /// attempt budget — the policy only paces the retries.
-  BackoffPolicy backoff;
 };
 
 struct ResilientGroupByResult {

@@ -9,7 +9,22 @@
 
 namespace gpujoin::join {
 
-std::vector<HostTable> PartitionHostByKeyRadix(const HostTable& t, int bits) {
+Result<std::vector<HostTable>> PartitionHostByKeyRadix(const HostTable& t,
+                                                       int bits) {
+  if (!t.columns.empty() && t.columns[0].is_string()) {
+    return Status::InvalidArgument("PartitionHostByKeyRadix: string key column '" +
+                                   t.columns[0].name + "' cannot be split");
+  }
+  // String columns split as the dictionary codes a whole-table upload
+  // assigns (first sight in row order).
+  std::vector<std::vector<int64_t>> codes(t.columns.size());
+  for (size_t c = 0; c < t.columns.size(); ++c) {
+    if (!t.columns[c].is_string()) continue;
+    DictionaryEncoder dict;
+    for (const std::string& v : t.columns[c].strings) {
+      codes[c].push_back(dict.Encode(v));
+    }
+  }
   const uint32_t fanout = 1u << bits;
   const uint64_t n = t.num_rows();
   std::vector<uint64_t> counts(fanout, 0);
@@ -29,18 +44,12 @@ std::vector<HostTable> PartitionHostByKeyRadix(const HostTable& t, int bits) {
   for (uint64_t i = 0; i < n; ++i) {
     const uint32_t f = bit_util::RadixDigit(t.columns[0].values[i], 0, bits);
     for (size_t c = 0; c < t.columns.size(); ++c) {
-      frags[f].columns[c].values.push_back(t.columns[c].values[i]);
+      const std::vector<int64_t>& src =
+          t.columns[c].is_string() ? codes[c] : t.columns[c].values;
+      frags[f].columns[c].values.push_back(src[i]);
     }
   }
   return frags;
-}
-
-uint64_t HostTableBytes(const HostTable& t) {
-  uint64_t bytes = 0;
-  for (const HostColumn& c : t.columns) {
-    bytes += c.values.size() * DataTypeSize(c.type);
-  }
-  return bytes;
 }
 
 int DeriveFragmentBits(const vgpu::Device& device, const HostTable& r,
@@ -48,7 +57,7 @@ int DeriveFragmentBits(const vgpu::Device& device, const HostTable& r,
   const double budget = static_cast<double>(device.config().global_mem_bytes) *
                         device_budget_fraction;
   const double total =
-      static_cast<double>(HostTableBytes(r) + HostTableBytes(s));
+      static_cast<double>(r.device_bytes() + s.device_bytes());
   int bits = 1;
   while (bits < 16 && total / static_cast<double>(1u << bits) > budget) {
     ++bits;
@@ -86,8 +95,10 @@ Result<OutOfCoreRunResult> RunOutOfCoreJoin(vgpu::Device& device, JoinAlgo algo,
   const double dev_t0 = device.ElapsedSeconds();
   const auto host_t0 = std::chrono::steady_clock::now();
 
-  std::vector<HostTable> r_frags = PartitionHostByKeyRadix(r, bits);
-  std::vector<HostTable> s_frags = PartitionHostByKeyRadix(s, bits);
+  GPUJOIN_ASSIGN_OR_RETURN(std::vector<HostTable> r_frags,
+                           PartitionHostByKeyRadix(r, bits));
+  GPUJOIN_ASSIGN_OR_RETURN(std::vector<HostTable> s_frags,
+                           PartitionHostByKeyRadix(s, bits));
 
   double host_partition_s = std::chrono::duration<double>(
                                 std::chrono::steady_clock::now() - host_t0)
@@ -96,7 +107,6 @@ Result<OutOfCoreRunResult> RunOutOfCoreJoin(vgpu::Device& device, JoinAlgo algo,
   // Output accumulator (schema = key + R payloads + S payloads).
   HostTable out;
   out.name = "out_of_core_join_result";
-  bool out_initialized = false;
 
   double host_merge_s = 0;
   for (int f = 0; f < res.fragments; ++f) {
@@ -107,7 +117,7 @@ Result<OutOfCoreRunResult> RunOutOfCoreJoin(vgpu::Device& device, JoinAlgo algo,
     obs::TraceSpan frag_span(device, "fragment",
                              "fragment_" + std::to_string(f));
     const uint64_t up_bytes =
-        HostTableBytes(r_frags[f]) + HostTableBytes(s_frags[f]);
+        r_frags[f].device_bytes() + s_frags[f].device_bytes();
     device.ChargeHostTransfer(vgpu::TransferDirection::kHostToDevice, up_bytes);
     res.bytes_transferred += up_bytes;
 
@@ -117,25 +127,13 @@ Result<OutOfCoreRunResult> RunOutOfCoreJoin(vgpu::Device& device, JoinAlgo algo,
                              RunJoin(device, algo, rd, sd, options.join));
 
     const HostTable part = jr.output.ToHost();
-    const uint64_t down_bytes = HostTableBytes(part);
+    const uint64_t down_bytes = part.device_bytes();
     device.ChargeHostTransfer(vgpu::TransferDirection::kDeviceToHost,
                               down_bytes);
     res.bytes_transferred += down_bytes;
 
     const auto merge_t0 = std::chrono::steady_clock::now();
-    if (!out_initialized) {
-      out.columns.resize(part.columns.size());
-      for (size_t c = 0; c < part.columns.size(); ++c) {
-        out.columns[c].name = part.columns[c].name;
-        out.columns[c].type = part.columns[c].type;
-      }
-      out_initialized = true;
-    }
-    for (size_t c = 0; c < part.columns.size(); ++c) {
-      out.columns[c].values.insert(out.columns[c].values.end(),
-                                   part.columns[c].values.begin(),
-                                   part.columns[c].values.end());
-    }
+    AppendRows(out, part);
     host_merge_s += std::chrono::duration<double>(
                         std::chrono::steady_clock::now() - merge_t0)
                         .count();

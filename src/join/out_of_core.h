@@ -40,15 +40,16 @@ struct OutOfCoreRunResult {
   uint64_t bytes_transferred = 0;
 };
 
-/// Total payload bytes of a host table (all columns, no metadata).
-uint64_t HostTableBytes(const HostTable& t);
-
 /// Host-side stable partition of a table by the low `bits` radix digits of
 /// column 0 (the key). Returns 2^bits per-fragment tables; rows with equal
 /// keys always land in the same fragment, and row order inside a fragment
-/// follows the input order. Shared by the out-of-core join stream and the
-/// scheduler's fragment decomposition (service/fragments.cc).
-std::vector<HostTable> PartitionHostByKeyRadix(const HostTable& t, int bits);
+/// follows the input order. A string payload column is split as the codes
+/// Table::FromHost would give the whole table, so fragment results carry
+/// the same codes as an unsplit run. A string key has no radix digits
+/// shared across tables: InvalidArgument. Shared by the out-of-core join
+/// stream and the scheduler's fragment decomposition (service/fragments.cc).
+Result<std::vector<HostTable>> PartitionHostByKeyRadix(const HostTable& t,
+                                                       int bits);
 
 /// Derives the fragment count (as log2) so that the average co-fragment
 /// pair fits `device_budget_fraction` of the device's global memory; join

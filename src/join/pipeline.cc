@@ -1,6 +1,7 @@
 #include "join/pipeline.h"
 
 #include <algorithm>
+#include <optional>
 #include <string>
 #include <utility>
 
@@ -71,55 +72,42 @@ Result<PipelineRunResult> RunJoinPipeline(vgpu::Device& device, JoinAlgo algo,
         Table::FromColumns("pipeline_probe", std::move(s_names), std::move(s_cols));
 
     JoinRunResult jr;
-    {
-      // Per-join resilience: a failed RunJoin releases its working state
-      // while `s_cur` and `dims[i]` stay resident, so a retry with more
-      // partition bits sees the same inputs. Attempts are capped by both the
-      // per-join budget and the backoff policy, delays are charged to the
-      // simulated clock, and a retry that cannot change the plan (bits
-      // already at the ceiling) stops the loop instead of spinning.
-      const BackoffPolicy backoff =
-          resilience != nullptr ? resilience->backoff : BackoffPolicy{};
-      const int max_attempts =
-          resilience != nullptr
-              ? std::min(std::max(resilience->max_attempts_per_join, 1),
-                         std::max(backoff.max_attempts, 1))
-              : 1;
+    if (resilience == nullptr) {
+      GPUJOIN_ASSIGN_OR_RETURN(jr, RunJoin(device, algo, dims[i], s_cur, options));
+    } else {
+      // A failed RunJoin releases its working state while `s_cur` and
+      // `dims[i]` stay resident, so a retry sees the same inputs.
       JoinOptions jopts = options;
-      const bool partitioned =
-          algo == JoinAlgo::kPhjUm || algo == JoinAlgo::kPhjOm;
-      for (int attempt = 1;; ++attempt) {
-        Result<JoinRunResult> run = RunJoin(device, algo, dims[i], s_cur, jopts);
-        if (run.ok()) {
-          jr = std::move(run).value();
-          break;
+      const auto span_label = [&](int n) {
+        return "join_" + std::to_string(i) + "_" + std::to_string(n);
+      };
+      const auto attempt = [&]() -> Status {
+        GPUJOIN_ASSIGN_OR_RETURN(jr, RunJoin(device, algo, dims[i], s_cur, jopts));
+        return Status::OK();
+      };
+      const auto escalate = [&](const Status& failure,
+                                int n) -> std::optional<DegradationStep> {
+        if (algo != JoinAlgo::kPhjUm && algo != JoinAlgo::kPhjOm) {
+          return std::nullopt;
         }
-        const bool resource =
-            run.status().code() == StatusCode::kResourceExhausted ||
-            run.status().code() == StatusCode::kOutOfMemory;
-        if (!resource || !partitioned || attempt >= max_attempts) {
-          return run.status();
-        }
-        const int next_bits = std::min(
-            jopts.radix_bits_override <= 0 ? 8 : jopts.radix_bits_override + 2,
-            16);
-        if (next_bits == jopts.radix_bits_override) {
-          // Bits already at the ceiling: an identical retry cannot succeed.
-          return run.status();
-        }
+        const int bits = jopts.radix_bits_override;
+        const int next_bits = std::min(bits <= 0 ? 8 : bits + 2, 16);
+        // Bits already at the ceiling: an identical retry cannot succeed.
+        if (next_bits == bits) return std::nullopt;
         jopts.radix_bits_override = next_bits;
-        const double delay = backoff.DelayCycles(attempt);
-        device.AdvanceClock(delay);
-        res.degradation.push_back(
-            {"retry_more_partition_bits",
-             "pipeline join " + std::to_string(i) + " failed (" +
-                 run.status().message() + "); retrying with radix_bits=" +
-                 std::to_string(jopts.radix_bits_override) +
-                 " after backoff of " + std::to_string(delay) + " cycles"});
-        obs::TraceInstant(device, "degradation:retry_more_partition_bits",
-                          res.degradation.back().detail);
-        GPUJOIN_RETURN_IF_ERROR(obs::CheckLifecycle(device));
-      }
+        return DegradationStep{
+            "retry_more_partition_bits",
+            "pipeline join " + std::to_string(i) + " failed (" +
+                failure.message() + "); retrying with radix_bits=" +
+                std::to_string(next_bits) + " after backoff of " +
+                std::to_string(resilience->backoff.DelayCycles(n)) + " cycles"};
+      };
+      const Ladder ladder{.op = "pipeline", .caller = "RunJoinPipeline",
+                          .subject = JoinAlgoName(algo), .budget = *resilience,
+                          .span_label = span_label, .attempt = attempt,
+                          .escalate = escalate};
+      GPUJOIN_RETURN_IF_ERROR(
+          RunLadder(device, ladder, &res.degradation).status());
     }
     res.per_join.push_back(jr.phases);
 

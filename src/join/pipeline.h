@@ -19,21 +19,16 @@
 
 namespace gpujoin::join {
 
-/// Per-join OOM handling inside a pipeline: when a constituent join hits
-/// ResourceExhausted, retry it (with more partition bits for the radix-
-/// partitioned algorithms) instead of failing the whole pipeline. The
-/// intermediate fact-side state survives a failed join attempt — RunJoin
-/// releases its own working state on error — so a retry sees the exact
-/// inputs of the failed attempt.
-struct PipelineResilience {
-  /// Attempts per constituent join (1 = no retries). The effective cap is
-  /// min(max_attempts_per_join, backoff.max_attempts), and a retry that
-  /// cannot change anything (radix bits already at the ceiling) stops the
-  /// loop early regardless of remaining budget.
-  int max_attempts_per_join = 3;
-  /// Delay schedule between attempts, charged to the simulated clock.
-  BackoffPolicy backoff;
-};
+/// Per-join resilience inside a pipeline: each constituent join runs on the
+/// shared degradation ladder (common/resilience.h) with the partition-bit
+/// rung only — a resource failure retries it with more partition bits (for
+/// the radix-partitioned algorithms) instead of failing the whole pipeline,
+/// and a transient fault re-runs it. The intermediate fact-side state
+/// survives a failed join attempt — RunJoin releases its own working state
+/// on error — so a retry sees the exact inputs of the failed attempt. The
+/// budget applies per join; a retry that cannot change anything (radix
+/// bits already at the ceiling) ends that join's ladder early.
+using PipelineResilience = LadderBudget;
 
 struct PipelineRunResult {
   /// The fully joined table: last join key, all dim payloads, fact ids.
@@ -51,7 +46,7 @@ struct PipelineRunResult {
 
 /// Joins `fact` (whose first N columns are the foreign keys FK_1..FK_N)
 /// against dims[0..N-1]; dims[i] joins on its column 0 against FK_i+1.
-/// Passing `resilience` enables per-join retry on resource exhaustion.
+/// Passing `resilience` runs each join on the degradation ladder.
 Result<PipelineRunResult> RunJoinPipeline(vgpu::Device& device, JoinAlgo algo,
                                           const Table& fact,
                                           const std::vector<Table>& dims,

@@ -1,50 +1,18 @@
 #include "join/resilient.h"
 
 #include <algorithm>
+#include <optional>
 #include <string>
 #include <utility>
 
 #include "join/out_of_core.h"
 #include "join/transform.h"
-#include "obs/registry.h"
 #include "obs/trace.h"
 #include "prim/hash_join.h"
 
 namespace gpujoin::join {
 
 namespace {
-
-/// Errors the ladder may absorb; everything else propagates immediately.
-bool IsResourceFailure(const Status& st) {
-  return st.code() == StatusCode::kResourceExhausted ||
-         st.code() == StatusCode::kOutOfMemory;
-}
-
-/// Transient faults (injected kernel fault, watchdog timeout): the same
-/// work is expected to succeed on retry, so the ladder re-runs the current
-/// rung instead of escalating.
-bool IsTransientFailure(const Status& st) { return st.IsUnavailable(); }
-
-bool IsRadixPartitioned(JoinAlgo algo) {
-  return algo == JoinAlgo::kPhjUm || algo == JoinAlgo::kPhjOm;
-}
-
-/// A failed attempt must roll the device back to its entry watermark; a
-/// mismatch is a leak (or double free) in the error path and is promoted to
-/// an Internal error — degrading further would hide it.
-Status VerifyCleanRollback(vgpu::Device& device, uint64_t baseline_live) {
-  const uint64_t live = device.memory_stats().live_bytes;
-  obs::MetricsRegistry::Global().CounterAdd(
-      "vgpu_leak_check_total",
-      {{"op", "join"}, {"outcome", live == baseline_live ? "clean" : "leak"}});
-  if (live != baseline_live) {
-    return Status::Internal(
-        "RunJoinResilient: failed attempt left " + std::to_string(live) +
-        " live bytes (entry watermark " + std::to_string(baseline_live) +
-        ")\n" + device.LeakReport());
-  }
-  return Status::OK();
-}
 
 /// The partition-bit count attempt 1 would use, mirroring JoinDriver's
 /// sizing so the retry rung escalates from the actual starting point.
@@ -59,28 +27,12 @@ int InitialPartitionBits(const vgpu::Device& device, const HostTable& r,
   return ChoosePartitionBits<int64_t>(r.num_rows(), capacity);
 }
 
-/// One full in-memory attempt: upload, join, download. All device state is
-/// released on exit (success or failure) by the RAII tables.
-Status AttemptInMemory(vgpu::Device& device, JoinAlgo algo, const HostTable& r,
-                       const HostTable& s, const JoinOptions& opts,
-                       ResilientJoinResult* res) {
-  GPUJOIN_ASSIGN_OR_RETURN(Table rd, Table::FromHost(device, r));
-  GPUJOIN_ASSIGN_OR_RETURN(Table sd, Table::FromHost(device, s));
-  GPUJOIN_ASSIGN_OR_RETURN(JoinRunResult jr, RunJoin(device, algo, rd, sd, opts));
-  res->output = jr.output.ToHost();
-  res->output_rows = jr.output_rows;
-  return Status::OK();
-}
-
 }  // namespace
 
 Result<ResilientJoinResult> RunJoinResilient(vgpu::Device& device,
                                              JoinAlgo algo, const HostTable& r,
                                              const HostTable& s,
                                              const ResilienceOptions& options) {
-  if (options.max_attempts < 1) {
-    return Status::InvalidArgument("RunJoinResilient: max_attempts must be >= 1");
-  }
   if (r.columns.empty() || s.columns.empty()) {
     return Status::InvalidArgument("RunJoinResilient: tables need a key column");
   }
@@ -88,175 +40,64 @@ Result<ResilientJoinResult> RunJoinResilient(vgpu::Device& device,
   ResilientJoinResult res;
   obs::TraceSpan query_span(
       device, "query", std::string("resilient_join:") + JoinAlgoName(algo));
-  obs::MetricsRegistry& reg = obs::MetricsRegistry::Global();
-  const uint64_t baseline_live = device.memory_stats().live_bytes;
-  const uint64_t faults0 = device.memory_stats().injected_failures;
-  // A query that completes despite injected allocation faults survived
-  // them; recorded on the success paths only.
-  const uint64_t kfaults0 =
-      device.fault_injector().injected_kernel_faults() +
-      device.watchdog_trips();
-  const auto record_survived = [&] {
-    const uint64_t absorbed =
-        device.memory_stats().injected_failures - faults0;
-    if (absorbed > 0) {
-      reg.CounterAdd("vgpu_faults_survived_total", {{"op", "join"}}, absorbed);
-    }
-    const uint64_t kernel_absorbed =
-        device.fault_injector().injected_kernel_faults() +
-        device.watchdog_trips() - kfaults0;
-    if (kernel_absorbed > 0) {
-      reg.CounterAdd("vgpu_kernel_faults_survived_total", {{"op", "join"}},
-                     kernel_absorbed);
-    }
-  };
-  const double t0 = device.ElapsedSeconds();
-  int attempt = 0;
-  int transient_retries = 0;
-  Status last_error = Status::OK();
-
-  // Transient rung, shared by every ladder level: a kUnavailable attempt
-  // unwinds cleanly, clears the device's sticky fault, waits a seeded
-  // backoff, and re-runs the SAME rung (no escalation — the work fits, the
-  // backend hiccuped). Returns true to retry; propagates the fault once
-  // the transient budget is spent so the service layer can hedge backends.
-  const auto try_absorb_transient = [&](const Status& st) -> Result<bool> {
-    if (!IsTransientFailure(st)) return false;
-    obs::TraceInstant(device, "transient_fault", st.message());
-    reg.CounterAdd("resilient_transient_faults_total", {{"op", "join"}});
-    GPUJOIN_RETURN_IF_ERROR(VerifyCleanRollback(device, baseline_live));
-    device.ClearTransientFault();
-    ++transient_retries;
-    if (transient_retries >= options.backoff.max_attempts) {
-      return Status::Unavailable(
-          st.message() + " (attempt " + std::to_string(transient_retries) +
-          "; ladder transient-retry budget exhausted)");
-    }
-    device.AdvanceClock(options.backoff.DelayCycles(transient_retries));
-    GPUJOIN_RETURN_IF_ERROR(obs::CheckLifecycle(device));
-    res.degradation.push_back(
-        {"transient_retry",
-         "transient fault (" + st.message() + "); retrying same rung, retry " +
-             std::to_string(transient_retries)});
-    obs::TraceInstant(device, "degradation:transient_retry",
-                      res.degradation.back().detail);
-    reg.CounterAdd("resilient_degradations_total",
-                   {{"op", "join"}, {"action", "transient_retry"}});
-    return true;
-  };
-
-  // Rungs 1 + 2: in-memory attempts, escalating partition bits while the
-  // algorithm can use them.
-  int bits = InitialPartitionBits(device, r, options.join);
+  // In-memory attempts escalate partition bits while the algorithm can use
+  // them; then the out-of-core stream escalates its fragment count
+  // (oopts.fragment_bits stays 0 while the ladder is in memory).
   JoinOptions jopts = options.join;
-  while (attempt < options.max_attempts) {
-    ++attempt;
-    Status st;
-    {
-      obs::TraceSpan attempt_span(device, "attempt",
-                                  "in_memory_" + std::to_string(attempt));
-      st = AttemptInMemory(device, algo, r, s, jopts, &res);
-    }
-    if (st.ok()) {
-      res.attempts = attempt;
-      res.device_seconds = device.ElapsedSeconds() - t0;
-      record_survived();
-      return res;
-    }
-    {
-      GPUJOIN_ASSIGN_OR_RETURN(const bool retry_rung, try_absorb_transient(st));
-      if (retry_rung) {
-        --attempt;  // Transient retries do not consume ladder attempts.
-        continue;
-      }
-    }
-    if (!IsResourceFailure(st)) return st;
-    obs::TraceInstant(device, "resource_failure", st.message());
-    reg.CounterAdd("resilient_resource_failures_total", {{"op", "join"}});
-    GPUJOIN_RETURN_IF_ERROR(VerifyCleanRollback(device, baseline_live));
-    last_error = st;
+  int bits = InitialPartitionBits(device, r, options.join);
+  OutOfCoreOptions oopts;
+  oopts.join = options.join;
 
-    if (!IsRadixPartitioned(algo) || bits >= 16 ||
-        attempt >= options.max_attempts) {
-      break;  // No in-memory rung left: fall through to out-of-core.
+  const auto span_label = [&](int n) {
+    return (oopts.fragment_bits == 0 ? "in_memory_" : "out_of_core_") +
+           std::to_string(n);
+  };
+  const auto attempt = [&]() -> Status {
+    if (oopts.fragment_bits == 0) {
+      // Upload, join, download; the RAII tables free all device state.
+      GPUJOIN_ASSIGN_OR_RETURN(Table rd, Table::FromHost(device, r));
+      GPUJOIN_ASSIGN_OR_RETURN(Table sd, Table::FromHost(device, s));
+      GPUJOIN_ASSIGN_OR_RETURN(JoinRunResult jr,
+                               RunJoin(device, algo, rd, sd, jopts));
+      res.output = jr.output.ToHost();
+      res.output_rows = jr.output_rows;
+      return Status::OK();
     }
-    bits = std::min(bits + 2, 16);
-    jopts.radix_bits_override = bits;
-    device.AdvanceClock(options.backoff.DelayCycles(attempt));
-    res.degradation.push_back(
-        {"retry_more_partition_bits",
-         "attempt " + std::to_string(attempt) + " failed (" + st.message() +
-             "); retrying in-memory with radix_bits=" + std::to_string(bits)});
-    obs::TraceInstant(device, "degradation:retry_more_partition_bits",
-                      res.degradation.back().detail);
-    reg.CounterAdd("resilient_degradations_total",
-                   {{"op", "join"}, {"action", "retry_more_partition_bits"}});
-    GPUJOIN_RETURN_IF_ERROR(obs::CheckLifecycle(device));
-  }
-
-  // Rung 3: out-of-core fallback with escalating fragment counts.
-  if (options.allow_out_of_core) {
-    int frag_bits =
-        DeriveFragmentBits(device, r, s, options.device_budget_fraction);
-    while (attempt < options.max_attempts) {
-      if (attempt > 0) {
-        device.AdvanceClock(options.backoff.DelayCycles(attempt));
-        GPUJOIN_RETURN_IF_ERROR(obs::CheckLifecycle(device));
-      }
-      ++attempt;
-      res.degradation.push_back(
-          {"out_of_core_fallback",
-           "in-memory failed (" + last_error.message() +
-               "); streaming fragment pairs with fragment_bits=" +
-               std::to_string(frag_bits)});
-      obs::TraceInstant(device, "degradation:out_of_core_fallback",
-                        res.degradation.back().detail);
-      reg.CounterAdd("resilient_degradations_total",
-                     {{"op", "join"}, {"action", "out_of_core_fallback"}});
-      OutOfCoreOptions oopts;
-      oopts.join = options.join;
-      oopts.fragment_bits = frag_bits;
-      oopts.device_budget_fraction = options.device_budget_fraction;
-      Result<OutOfCoreRunResult> oc = Status::Internal("unset");
-      {
-        obs::TraceSpan attempt_span(device, "attempt",
-                                    "out_of_core_" + std::to_string(attempt));
-        oc = RunOutOfCoreJoin(device, algo, r, s, oopts);
-      }
-      if (oc.ok()) {
-        res.output = std::move(oc->output);
-        res.output_rows = oc->output_rows;
-        res.attempts = attempt;
-        res.used_out_of_core = true;
-        res.device_seconds = device.ElapsedSeconds() - t0;
-        record_survived();
-        return res;
-      }
-      {
-        GPUJOIN_ASSIGN_OR_RETURN(const bool retry_rung,
-                                 try_absorb_transient(oc.status()));
-        if (retry_rung) {
-          --attempt;  // Re-run the same fragment count.
-          continue;
-        }
-      }
-      if (!IsResourceFailure(oc.status())) return oc.status();
-      reg.CounterAdd("resilient_resource_failures_total", {{"op", "join"}});
-      GPUJOIN_RETURN_IF_ERROR(VerifyCleanRollback(device, baseline_live));
-      last_error = oc.status();
-      if (frag_bits >= 20) break;  // Fragmentation limit reached.
-      frag_bits = std::min(frag_bits + 2, 20);
+    GPUJOIN_ASSIGN_OR_RETURN(OutOfCoreRunResult oc,
+                             RunOutOfCoreJoin(device, algo, r, s, oopts));
+    res.output = std::move(oc.output);
+    res.output_rows = oc.output_rows;
+    res.used_out_of_core = true;
+    return Status::OK();
+  };
+  const auto escalate = [&](const Status& failure,
+                            int n) -> std::optional<DegradationStep> {
+    const bool radix = algo == JoinAlgo::kPhjUm || algo == JoinAlgo::kPhjOm;
+    if (oopts.fragment_bits == 0 && radix && bits < 16) {
+      bits = std::min(bits + 2, 16);
+      jopts.radix_bits_override = bits;
+      return DegradationStep{
+          "retry_more_partition_bits",
+          "attempt " + std::to_string(n) + " failed (" + failure.message() +
+              "); retrying in-memory with radix_bits=" + std::to_string(bits)};
     }
-  }
-
-  // Rung 4: clean structured error carrying the ladder.
-  return Status::ResourceExhausted(
-      "RunJoinResilient: " + std::string(JoinAlgoName(algo)) + " failed after " +
-      std::to_string(attempt) + " attempt(s); last error: " +
-      last_error.message() +
-      (res.degradation.empty()
-           ? std::string("; no degradation rung applicable")
-           : "\ndegradation ladder:\n" + FormatDegradation(res.degradation)));
+    if (oopts.fragment_bits >= 20) return std::nullopt;
+    oopts.fragment_bits =
+        oopts.fragment_bits == 0
+            ? DeriveFragmentBits(device, r, s, oopts.device_budget_fraction)
+            : std::min(oopts.fragment_bits + 2, 20);
+    return DegradationStep{"out_of_core_fallback",
+                           "in-memory failed (" + failure.message() +
+                               "); streaming fragment pairs with fragment_bits=" +
+                               std::to_string(oopts.fragment_bits)};
+  };
+  const Ladder ladder{.op = "join", .caller = "RunJoinResilient",
+                      .subject = JoinAlgoName(algo), .budget = options,
+                      .span_label = span_label, .attempt = attempt,
+                      .escalate = escalate};
+  GPUJOIN_ASSIGN_OR_RETURN(res.attempts,
+                           RunLadder(device, ladder, &res.degradation));
+  return res;
 }
 
 }  // namespace gpujoin::join

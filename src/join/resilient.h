@@ -1,18 +1,17 @@
-// Resilient join execution: RunJoinResilient wraps RunJoin with a
-// degradation ladder so a device-resident OOM (real or injected) degrades a
-// query instead of failing it outright:
+// Resilient join execution: RunJoinResilient wraps RunJoin in the shared
+// degradation ladder (common/resilience.h) so a device-resident OOM (real or
+// injected) degrades a query instead of failing it outright. Its rungs:
 //
 //   1. In-memory attempt with the caller's options.
-//   2. For the radix-partitioned implementations, bounded retries with more
+//   2. For the radix-partitioned implementations, retries with more
 //      partition bits (smaller per-partition working state).
 //   3. Out-of-core fallback: host-side radix fragmentation with derived
 //      fragment_bits, escalated on repeated failure.
 //   4. A clean structured ResourceExhausted error carrying the full
 //      degradation log.
 //
-// Every failed attempt must leave the device exactly as it found it: the
-// wrapper verifies the live-byte watermark after each failure and turns a
-// leak into an Internal error (the leak-audit contract of vgpu::Device).
+// Transient faults re-run the current rung, and every failed attempt must
+// leave the device exactly as it found it (RunLadder checks both).
 
 #ifndef GPUJOIN_JOIN_RESILIENT_H_
 #define GPUJOIN_JOIN_RESILIENT_H_
@@ -28,20 +27,10 @@
 
 namespace gpujoin::join {
 
-struct ResilienceOptions {
+struct ResilienceOptions : LadderBudget {
   /// Base options for every in-memory attempt (the retry ladder only bumps
   /// radix_bits_override on top of these).
   JoinOptions join;
-  /// Total attempt budget across the whole ladder (first try included).
-  int max_attempts = 4;
-  /// Rung 3: fall back to RunOutOfCoreJoin when in-memory attempts fail.
-  bool allow_out_of_core = true;
-  /// Device-memory budget fraction for the out-of-core fallback.
-  double device_budget_fraction = 0.2;
-  /// Delay schedule between ladder attempts, charged to the simulated clock
-  /// (deterministic; see BackoffPolicy). max_attempts above remains the
-  /// attempt budget — the policy only paces the retries.
-  BackoffPolicy backoff;
 };
 
 struct ResilientJoinResult {
@@ -52,8 +41,6 @@ struct ResilientJoinResult {
   bool used_out_of_core = false;
   /// One entry per ladder step taken; empty on a clean first-attempt run.
   std::vector<DegradationStep> degradation;
-  /// Simulated device seconds across all attempts (failed ones included).
-  double device_seconds = 0;
 };
 
 /// Joins host tables r and s (keys in column 0), degrading along the ladder

@@ -7,7 +7,6 @@
 #include "groupby/resilient.h"
 #include "join/resilient.h"
 #include "obs/registry.h"
-#include "stats/estimator.h"
 
 namespace gpujoin::ops {
 
@@ -59,9 +58,9 @@ Result<OperatorRunResult> VgpuProvider::RunJoin(const JoinOp& op) {
 
   // Upload both inputs over the simulated link (one transfer setup each).
   dev.ChargeHostTransfer(vgpu::TransferDirection::kHostToDevice,
-                         stats::EstimateDeviceBytes(*op.r));
+                         op.r->device_bytes());
   dev.ChargeHostTransfer(vgpu::TransferDirection::kHostToDevice,
-                         stats::EstimateDeviceBytes(*op.s));
+                         op.s->device_bytes());
   const double t_up = dev.ElapsedSeconds();
 
   join::ResilienceOptions ropts;
@@ -72,7 +71,7 @@ Result<OperatorRunResult> VgpuProvider::RunJoin(const JoinOp& op) {
   const double t_run = dev.ElapsedSeconds();
 
   dev.ChargeHostTransfer(vgpu::TransferDirection::kDeviceToHost,
-                         stats::EstimateDeviceBytes(run.output));
+                         run.output.device_bytes());
   const double t_down = dev.ElapsedSeconds();
 
   OperatorRunResult res;
@@ -104,7 +103,7 @@ Result<OperatorRunResult> VgpuProvider::RunGroupBy(const GroupByOp& op) {
   const double t0 = dev.ElapsedSeconds();
 
   dev.ChargeHostTransfer(vgpu::TransferDirection::kHostToDevice,
-                         stats::EstimateDeviceBytes(*op.input));
+                         op.input->device_bytes());
   GPUJOIN_ASSIGN_OR_RETURN(Table input, Table::FromHost(dev, *op.input));
   const double t_up = dev.ElapsedSeconds();
 
@@ -118,7 +117,7 @@ Result<OperatorRunResult> VgpuProvider::RunGroupBy(const GroupByOp& op) {
   OperatorRunResult res;
   res.output = run.run.output.ToHost();
   dev.ChargeHostTransfer(vgpu::TransferDirection::kDeviceToHost,
-                         stats::EstimateDeviceBytes(res.output));
+                         res.output.device_bytes());
   const double t_down = dev.ElapsedSeconds();
 
   res.output_rows = run.run.num_groups;

@@ -118,8 +118,8 @@ RouteDecision RouteJoin(const JoinOp& op, const vgpu::DeviceConfig& config,
       cost.cpux_fixed_s +
       tuples / CpuxRate(cost.cpux_join_tuples_per_sec, cost,
                         options.cpux_threads);
-  d.vgpu_seconds = TransferSeconds(config, stats::EstimateDeviceBytes(*op.r)) +
-                   TransferSeconds(config, stats::EstimateDeviceBytes(*op.s)) +
+  d.vgpu_seconds = TransferSeconds(config, op.r->device_bytes()) +
+                   TransferSeconds(config, op.s->device_bytes()) +
                    TransferSeconds(config, d.memory.output_bytes) +
                    config.CyclesToSeconds(cost.kernels_per_join *
                                           config.launch_overhead_cycles) +
@@ -146,7 +146,7 @@ RouteDecision RouteGroupBy(const GroupByOp& op,
       tuples / CpuxRate(cost.cpux_groupby_tuples_per_sec, cost,
                         options.cpux_threads);
   d.vgpu_seconds =
-      TransferSeconds(config, stats::EstimateDeviceBytes(*op.input)) +
+      TransferSeconds(config, op.input->device_bytes()) +
       TransferSeconds(config, d.memory.output_bytes) +
       config.CyclesToSeconds(cost.kernels_per_groupby *
                              config.launch_overhead_cycles) +

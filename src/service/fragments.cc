@@ -13,13 +13,13 @@ FragmentPlan FragmentPlan::Single(const HostTable& r, const HostTable* s) {
   return plan;
 }
 
-FragmentPlan FragmentPlan::ForJoin(const HostTable& r, const HostTable& s,
-                                   int bits) {
+Result<FragmentPlan> FragmentPlan::ForJoin(const HostTable& r,
+                                           const HostTable& s, int bits) {
   if (bits <= 0) return Single(r, &s);
   FragmentPlan plan;
   plan.fragment_bits_ = bits;
-  plan.owned_r_ = join::PartitionHostByKeyRadix(r, bits);
-  plan.owned_s_ = join::PartitionHostByKeyRadix(s, bits);
+  GPUJOIN_ASSIGN_OR_RETURN(plan.owned_r_, join::PartitionHostByKeyRadix(r, bits));
+  GPUJOIN_ASSIGN_OR_RETURN(plan.owned_s_, join::PartitionHostByKeyRadix(s, bits));
   const int fanout = 1 << bits;
   for (int f = 0; f < fanout; ++f) {
     // An empty side means the co-fragment pair contributes no join rows.
@@ -31,11 +31,13 @@ FragmentPlan FragmentPlan::ForJoin(const HostTable& r, const HostTable& s,
   return plan;
 }
 
-FragmentPlan FragmentPlan::ForGroupBy(const HostTable& input, int bits) {
+Result<FragmentPlan> FragmentPlan::ForGroupBy(const HostTable& input,
+                                              int bits) {
   if (bits <= 0) return Single(input, nullptr);
   FragmentPlan plan;
   plan.fragment_bits_ = bits;
-  plan.owned_r_ = join::PartitionHostByKeyRadix(input, bits);
+  GPUJOIN_ASSIGN_OR_RETURN(plan.owned_r_,
+                           join::PartitionHostByKeyRadix(input, bits));
   const int fanout = 1 << bits;
   for (int f = 0; f < fanout; ++f) {
     if (plan.owned_r_[f].num_rows() == 0) continue;

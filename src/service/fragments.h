@@ -26,6 +26,7 @@
 #include <cstdint>
 #include <vector>
 
+#include "common/status.h"
 #include "storage/table.h"
 
 namespace gpujoin::service {
@@ -61,11 +62,12 @@ class FragmentPlan {
   /// Single fragment aliasing the caller's tables (`s` may be null).
   static FragmentPlan Single(const HostTable& r, const HostTable* s);
   /// 2^bits co-fragment pairs for a join; pairs with an empty build or
-  /// probe side produce no rows and are dropped from the unit list.
-  static FragmentPlan ForJoin(const HostTable& r, const HostTable& s,
-                              int bits);
+  /// probe side produce no rows and are dropped from the unit list. A split
+  /// (bits > 0) of a string-keyed table is InvalidArgument.
+  static Result<FragmentPlan> ForJoin(const HostTable& r, const HostTable& s,
+                                      int bits);
   /// 2^bits key partitions for a group-by; empty partitions are dropped.
-  static FragmentPlan ForGroupBy(const HostTable& input, int bits);
+  static Result<FragmentPlan> ForGroupBy(const HostTable& input, int bits);
 
  private:
   std::vector<HostTable> owned_r_;

@@ -4,7 +4,6 @@
 #include <limits>
 #include <utility>
 
-#include "join/out_of_core.h"
 #include "obs/registry.h"
 #include "obs/trace.h"
 
@@ -21,14 +20,6 @@ uint64_t SplitMix64(uint64_t x) {
   x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ull;
   x = (x ^ (x >> 27)) * 0x94d049bb133111ebull;
   return x ^ (x >> 31);
-}
-
-void AppendColumns(HostTable& into, const HostTable& part) {
-  for (size_t c = 0; c < part.columns.size(); ++c) {
-    into.columns[c].values.insert(into.columns[c].values.end(),
-                                  part.columns[c].values.begin(),
-                                  part.columns[c].values.end());
-  }
 }
 
 /// Whether the cpux engines can run this table at all (integer-only, row
@@ -208,10 +199,18 @@ Result<int> QueryService::Submit(QueryRequest request) {
     return id;
   }
 
+  const int bits = ResolveFragmentBits(request, need);
+  Result<FragmentPlan> plan =
+      request.kind == QueryKind::kJoin
+          ? FragmentPlan::ForJoin(*request.r, *request.s, bits)
+          : FragmentPlan::ForGroupBy(*request.r, bits);
+  GPUJOIN_RETURN_IF_ERROR(plan.status());
+
   Run run;
   run.id = id;
   run.need = need;
   run.request = std::move(request);
+  run.plan = std::move(plan).value();
   outcomes_.push_back(std::move(out));
 
   if (run.request.arrival_cycles > device_.elapsed_cycles()) {
@@ -233,12 +232,6 @@ Result<int> QueryService::Submit(QueryRequest request) {
     }
   }
 
-  const int bits = ResolveFragmentBits(run.request, need);
-  if (run.request.kind == QueryKind::kJoin) {
-    run.plan = FragmentPlan::ForJoin(*run.request.r, *run.request.s, bits);
-  } else {
-    run.plan = FragmentPlan::ForGroupBy(*run.request.r, bits);
-  }
   outcomes_[id].fragments_total = static_cast<int>(run.plan.units().size());
   run.control.set_token(run.request.lifecycle.token);
   pending_.push_back(std::move(run));
@@ -533,7 +526,7 @@ Status QueryService::RunUnit(Run& run, bool use_cpux,
       // co-fragment pair crosses PCIe up, the partial result crosses down.
       device_.ChargeHostTransfer(
           vgpu::TransferDirection::kHostToDevice,
-          join::HostTableBytes(*u.r) + join::HostTableBytes(*u.s));
+          u.r->device_bytes() + u.s->device_bytes());
       GPUJOIN_RETURN_IF_ERROR(obs::CheckLifecycle(device_));
     }
     Result<join::ResilientJoinResult> jr = join::RunJoinResilient(
@@ -544,12 +537,12 @@ Status QueryService::RunUnit(Run& run, bool use_cpux,
     part_rows = jr->output_rows;
     if (run.plan.fragmented()) {
       device_.ChargeHostTransfer(vgpu::TransferDirection::kDeviceToHost,
-                                 join::HostTableBytes(part));
+                                 part.device_bytes());
     }
   } else if (!ran_on_cpux) {
     if (run.plan.fragmented()) {
       device_.ChargeHostTransfer(vgpu::TransferDirection::kHostToDevice,
-                                 join::HostTableBytes(*u.r));
+                                 u.r->device_bytes());
       GPUJOIN_RETURN_IF_ERROR(obs::CheckLifecycle(device_));
     }
     // Upload, aggregate, download. The device-resident tables must die
@@ -565,7 +558,7 @@ Status QueryService::RunUnit(Run& run, bool use_cpux,
     part_rows = gr->run.num_groups;
     if (run.plan.fragmented()) {
       device_.ChargeHostTransfer(vgpu::TransferDirection::kDeviceToHost,
-                                 join::HostTableBytes(part));
+                                 part.device_bytes());
     }
   }
 
@@ -575,7 +568,7 @@ Status QueryService::RunUnit(Run& run, bool use_cpux,
     run.partial = std::move(part);
     run.partial_init = true;
   } else {
-    AppendColumns(run.partial, part);
+    AppendRows(run.partial, part);
   }
   run.partial_rows += part_rows;
   return Status::OK();

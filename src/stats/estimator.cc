@@ -11,20 +11,10 @@
 
 namespace gpujoin::stats {
 
-uint64_t EstimateDeviceBytes(const HostTable& t) {
-  uint64_t bytes = 0;
-  for (const HostColumn& c : t.columns) {
-    // String columns upload as fixed-width dictionary codes; everything else
-    // lands at its declared width.
-    bytes += c.size() * (c.is_string() ? sizeof(int64_t) : DataTypeSize(c.type));
-  }
-  return bytes;
-}
-
 MemoryEstimate EstimateJoinMemory(const HostTable& r, const HostTable& s) {
   MemoryEstimate est;
-  const uint64_t r_bytes = EstimateDeviceBytes(r);
-  const uint64_t s_bytes = EstimateDeviceBytes(s);
+  const uint64_t r_bytes = r.device_bytes();
+  const uint64_t s_bytes = s.device_bytes();
   est.input_bytes = r_bytes + s_bytes;
   // Partitioned hash join peak: partitioned copies of both inputs coexist
   // with the originals during scatter, plus per-partition hash tables (~2x
@@ -43,7 +33,7 @@ MemoryEstimate EstimateJoinMemory(const HostTable& r, const HostTable& s) {
 MemoryEstimate EstimateGroupByMemory(const HostTable& input,
                                      int num_aggregates) {
   MemoryEstimate est;
-  const uint64_t in_bytes = EstimateDeviceBytes(input);
+  const uint64_t in_bytes = input.device_bytes();
   est.input_bytes = in_bytes;
   // Hash-partitioned peak: a transformed/partitioned copy of the input plus
   // the aggregation hash table (~2x keys+aggregates at worst-case group

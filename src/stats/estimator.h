@@ -36,10 +36,6 @@ struct MemoryEstimate {
   }
 };
 
-/// Device bytes a host table occupies after upload (string columns count as
-/// their dictionary codes, matching Table::FromHost).
-uint64_t EstimateDeviceBytes(const HostTable& t);
-
 /// Admission estimate for a two-table join (keys in column 0). Assumes the
 /// worst common case: every probe row matches once, working state sized as
 /// a partitioned hash join's peak (partitioned copies of both inputs plus

@@ -37,6 +37,27 @@ Result<Table> Table::FromHost(vgpu::Device& device, const HostTable& host) {
   return t;
 }
 
+uint64_t HostTable::device_bytes() const {
+  uint64_t bytes = 0;
+  for (const HostColumn& c : columns) bytes += c.size() * DataTypeSize(c.type);
+  return bytes;
+}
+
+void AppendRows(HostTable& into, const HostTable& part) {
+  if (into.columns.empty()) {
+    for (const HostColumn& c : part.columns) {
+      into.columns.push_back(HostColumn{c.name, c.type, {}, {}});
+    }
+  }
+  for (size_t c = 0; c < part.columns.size(); ++c) {
+    HostColumn& dst = into.columns[c];
+    const HostColumn& src = part.columns[c];
+    dst.values.insert(dst.values.end(), src.values.begin(), src.values.end());
+    dst.strings.insert(dst.strings.end(), src.strings.begin(),
+                       src.strings.end());
+  }
+}
+
 Table Table::FromColumns(std::string name, std::vector<std::string> col_names,
                          std::vector<DeviceColumn> cols) {
   Table t;

@@ -38,7 +38,16 @@ struct HostTable {
   std::vector<HostColumn> columns;
 
   uint64_t num_rows() const { return columns.empty() ? 0 : columns.front().size(); }
+
+  /// Bytes Table::FromHost allocates for this table, and so the bytes one
+  /// host <-> device transfer of it moves: rows x declared width for every
+  /// column (string columns upload as dictionary codes of that width).
+  uint64_t device_bytes() const;
 };
+
+/// Appends `part`'s rows (values and strings) to `into`; an empty `into`
+/// takes `part`'s schema first. Merges fragment results in fragment order.
+void AppendRows(HostTable& into, const HostTable& part);
 
 class Table {
  public:

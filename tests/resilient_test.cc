@@ -308,7 +308,7 @@ TEST(PipelineResilienceTest, PersistentFaultTerminatesWithoutRunawayRetries) {
     dims.push_back(std::move(d0));
 
     join::PipelineResilience resilience;
-    resilience.max_attempts_per_join = 1'000'000;  // Absurd budget.
+    resilience.max_attempts = 1'000'000;  // Absurd budget.
     resilience.backoff.max_attempts = 1'000'000;
     const double t0 = device.elapsed_cycles();
     Result<join::PipelineRunResult> res = join::RunJoinPipeline(
@@ -327,8 +327,9 @@ TEST(PipelineResilienceTest, PersistentFaultTerminatesWithoutRunawayRetries) {
   ASSERT_OK(device.CheckNoLeaks());
 }
 
-// Attempt caps compose: the effective per-join budget is the smaller of
-// max_attempts_per_join and the backoff policy's max_attempts.
+// One budget: `max_attempts` bounds a pipeline join's attempts across the
+// resource rungs, so max_attempts = 1 means no retry and no backoff
+// charged, however large the transient-retry budget.
 TEST(PipelineResilienceTest, BackoffPolicyCapsAttempts) {
   workload::StarSchemaSpec spec;
   spec.fact_rows = 1 << 10;
@@ -345,18 +346,103 @@ TEST(PipelineResilienceTest, BackoffPolicyCapsAttempts) {
     dims.push_back(std::move(d0));
 
     join::PipelineResilience resilience;
-    resilience.max_attempts_per_join = 100;
-    resilience.backoff.max_attempts = 1;  // No retries at all.
+    resilience.max_attempts = 1;             // No retries at all.
+    resilience.backoff.max_attempts = 100;   // Transient budget: unused.
     const double t0 = device.elapsed_cycles();
     Result<join::PipelineRunResult> res = join::RunJoinPipeline(
         device, join::JoinAlgo::kPhjOm, fact, dims, {}, &resilience);
     ASSERT_FALSE(res.ok());
-    // Attempt 1 fails and the loop exits without a retry, so no backoff
+    EXPECT_EQ(res.status().code(), StatusCode::kResourceExhausted);
+    EXPECT_NE(res.status().message().find("failed after 1 attempt(s)"),
+              std::string::npos)
+        << res.status().ToString();
+    // Attempt 1 fails and the ladder ends without a retry, so no backoff
     // delay was charged — only the (small) kernel cycles of the attempt.
     const double elapsed = device.elapsed_cycles() - t0;
     EXPECT_LT(elapsed, resilience.backoff.DelayCycles(1));
   }
   ASSERT_OK(device.CheckNoLeaks());
+}
+
+// A one-shot kernel fault inside a constituent join is absorbed by the
+// ladder's transient rung: the pipeline completes with the fault-free
+// output, and a replay on the reset device is bit-identical. Faults in the
+// kernels between joins (the FK gathers) are outside the ladder and
+// propagate as kUnavailable.
+TEST(PipelineResilienceTest, OneShotKernelFaultIsAbsorbedAndReplaysIdentically) {
+  workload::StarSchemaSpec spec;
+  spec.fact_rows = 1 << 10;
+  spec.num_dims = 2;
+  spec.dim_rows = 1 << 8;
+  const workload::StarSchema star =
+      workload::GenerateStarSchema(spec).ValueOrDie();
+  const join::PipelineResilience resilience;
+
+  vgpu::Device device = MakeTestDevice();
+  struct Run {
+    Status status;
+    std::vector<std::vector<int64_t>> rows;
+    std::vector<DegradationStep> degradation;
+    uint64_t kernels = 0;
+    double cycles = 0;
+    vgpu::KernelStats stats;
+  };
+  // Uploads run before the injector is armed, so kernel k counts from the
+  // pipeline's first launch.
+  const auto run = [&](uint64_t fault_at) {
+    Run out;
+    EXPECT_OK(device.Reset());
+    {
+      Table fact = Table::FromHost(device, star.fact).ValueOrDie();
+      std::vector<Table> dims;
+      for (const HostTable& d : star.dims) {
+        dims.push_back(Table::FromHost(device, d).ValueOrDie());
+      }
+      const uint64_t k0 = device.kernels_launched();
+      if (fault_at > 0) {
+        device.set_fault_injector(vgpu::FaultInjector::FailNthKernel(fault_at));
+      }
+      Result<join::PipelineRunResult> res = join::RunJoinPipeline(
+          device, join::JoinAlgo::kPhjOm, fact, dims, {}, &resilience);
+      device.clear_fault_injector();
+      out.status = res.status();
+      if (res.ok()) {
+        out.rows = join::CanonicalRows(res->output.ToHost());
+        out.degradation = res->degradation;
+      }
+      out.kernels = device.kernels_launched() - k0;
+      out.cycles = device.elapsed_cycles();
+      out.stats = device.total_stats();
+    }
+    device.ClearTransientFault();
+    EXPECT_OK(device.CheckNoLeaks());
+    return out;
+  };
+
+  const Run base = run(0);
+  ASSERT_OK(base.status);
+  ASSERT_GT(base.kernels, 0u);
+  int absorbed = 0;
+  for (uint64_t k = 1; k <= base.kernels; ++k) {
+    SCOPED_TRACE("kernel fault at launch " + std::to_string(k));
+    const Run faulted = run(k);
+    if (!faulted.status.ok()) {
+      EXPECT_TRUE(faulted.status.IsUnavailable()) << faulted.status.ToString();
+      continue;
+    }
+    ++absorbed;
+    ASSERT_EQ(faulted.degradation.size(), 1u);
+    EXPECT_EQ(faulted.degradation[0].action, "transient_retry");
+    EXPECT_EQ(faulted.rows, base.rows);
+
+    const Run replay = run(k);
+    ASSERT_OK(replay.status);
+    EXPECT_EQ(replay.rows, faulted.rows);
+    EXPECT_EQ(replay.kernels, faulted.kernels);
+    EXPECT_EQ(replay.cycles, faulted.cycles);
+    EXPECT_TRUE(replay.stats == faulted.stats);
+  }
+  EXPECT_GT(absorbed, 0) << "no kernel fault landed inside a pipeline join";
 }
 
 // ---------------------------------------------------------------------------

@@ -171,7 +171,7 @@ void ExpectCyclesSumBack(const QueryService& service,
 
 TEST(FragmentPlanTest, JoinPlanCoPartitionsAndCoversAllRows) {
   const workload::JoinWorkload w = JoinWorkloadOf(1 << 10, 1 << 11, 3);
-  const FragmentPlan plan = FragmentPlan::ForJoin(w.r, w.s, 3);
+  const FragmentPlan plan = FragmentPlan::ForJoin(w.r, w.s, 3).ValueOrDie();
   EXPECT_TRUE(plan.fragmented());
   EXPECT_LE(plan.units().size(), size_t{1} << 3);
 
@@ -198,7 +198,7 @@ TEST(FragmentPlanTest, JoinPlanCoPartitionsAndCoversAllRows) {
 
 TEST(FragmentPlanTest, SingleFragmentAliasesCallerTables) {
   const workload::JoinWorkload w = JoinWorkloadOf(64, 64, 5);
-  const FragmentPlan plan = FragmentPlan::ForJoin(w.r, w.s, 0);
+  const FragmentPlan plan = FragmentPlan::ForJoin(w.r, w.s, 0).ValueOrDie();
   EXPECT_FALSE(plan.fragmented());
   ASSERT_EQ(plan.units().size(), 1u);
   EXPECT_EQ(plan.units()[0].r, &w.r);  // No copy: bit-identity with the
