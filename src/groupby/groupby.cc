@@ -208,8 +208,9 @@ void ReadAggValues(const GroupBySpec& spec, const std::vector<int>& needed,
 }
 
 /// Transform (GFTR style): reorders the key together with every aggregate
-/// column in `needed`; stability keeps all transformed columns aligned. A
-/// count-only spec transforms the key with a throwaway row-id column.
+/// column in `needed`; stability keeps all transformed columns aligned, and
+/// columns 2..n reuse the first transform's key histograms. A count-only
+/// spec transforms the key alone.
 template <typename K>
 Status TransformInput(vgpu::Device& device, const Table& input,
                       const std::vector<int>& needed, join::TransformKind kind,
@@ -222,18 +223,16 @@ Status TransformInput(vgpu::Device& device, const Table& input,
     key_buf = &input.column(0).i64();
   }
   if (needed.empty()) {
-    GPUJOIN_ASSIGN_OR_RETURN(
-        auto ids, vgpu::DeviceBuffer<RowId>::Allocate(device, input.num_rows()));
-    vgpu::DeviceBuffer<RowId> t_ids;
-    return join::TransformPairOutOfPlace(device, *key_buf, ids, t_keys, &t_ids,
-                                         kind, bits);
+    return join::TransformKeysOutOfPlace(device, *key_buf, t_keys, kind, bits);
   }
+  prim::RadixHistograms hist;
   for (size_t c = 0; c < needed.size(); ++c) {
     vgpu::DeviceBuffer<K> t_keys_c;
     GPUJOIN_ASSIGN_OR_RETURN(
         DeviceColumn t_col,
         join::TransformKeyPayload(device, *key_buf, input.column(needed[c]),
-                                  &t_keys_c, kind, bits));
+                                  &t_keys_c, kind, bits,
+                                  /*discard_keys=*/false, &hist));
     t_cols->push_back(std::move(t_col));
     if (c == 0) {
       *t_keys = std::move(t_keys_c);

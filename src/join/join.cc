@@ -94,6 +94,7 @@ struct SideState {
   std::vector<DeviceColumn> t_pays_rest;  // Eager GFTR: payloads 2..n.
   vgpu::DeviceBuffer<RowId> t_ids; // Transformed physical IDs (wide UM).
   std::vector<uint64_t> offsets;   // Partition boundaries (PHJ-OM).
+  prim::RadixHistograms hist;      // Digit counts of the keys, for GFTR re-transforms.
 
   // Bucket chains (PHJ-UM):
   std::optional<prim::BucketChainLayout<K>> bc;
@@ -155,7 +156,8 @@ Result<JoinRunResult> JoinDriver(vgpu::Device& device, JoinAlgo algo,
       GPUJOIN_ASSIGN_OR_RETURN(
           state->t_pay1,
           TransformKeyPayload(device, keys, side.table->column(1),
-                              &state->t_keys, tkind, radix_bits));
+                              &state->t_keys, tkind, radix_bits,
+                              /*discard_keys=*/false, &state->hist));
       if (is_om && opts.eager_transform) {
         // Early-materialization ablation: transform the remaining payload
         // columns up front and keep them all resident.
@@ -164,19 +166,29 @@ Result<JoinRunResult> JoinDriver(vgpu::Device& device, JoinAlgo algo,
           GPUJOIN_ASSIGN_OR_RETURN(
               DeviceColumn t_pay,
               TransformKeyPayload(device, keys, side.table->column(c),
-                                  &t_keys_again, tkind, radix_bits));
+                                  &t_keys_again, tkind, radix_bits,
+                                  /*discard_keys=*/false, &state->hist));
           t_keys_again.Release();
           state->t_pays_rest.push_back(std::move(t_pay));
         }
       }
+    } else if (side.n_payloads == 0) {
+      // Keys only: nothing is materialized from this side.
+      GPUJOIN_RETURN_IF_ERROR(TransformKeysOutOfPlace(
+          device, keys, &state->t_keys, tkind, radix_bits, &state->hist));
     } else {
       // Initialize physical tuple identifiers and transform (GFUR).
       GPUJOIN_ASSIGN_OR_RETURN(
           auto ids, vgpu::DeviceBuffer<RowId>::Allocate(device, keys.size()));
       GPUJOIN_RETURN_IF_ERROR(prim::Iota(device, &ids));
       GPUJOIN_RETURN_IF_ERROR(TransformPairOutOfPlace(
-          device, keys, ids, &state->t_keys, &state->t_ids, tkind, radix_bits));
+          device, keys, ids, &state->t_keys, &state->t_ids, tkind, radix_bits,
+          /*discard_keys=*/false, &state->hist));
       ids.Release();
+    }
+    // Only Algorithm 1's lazy re-transforms read the histograms again.
+    if (!is_om || opts.eager_transform || side.n_payloads < 2) {
+      state->hist.Release();
     }
     if (algo == JoinAlgo::kPhjOm) {
       GPUJOIN_RETURN_IF_ERROR(prim::ComputePartitionOffsets(
@@ -198,7 +210,7 @@ Result<JoinRunResult> JoinDriver(vgpu::Device& device, JoinAlgo algo,
       GPUJOIN_ASSIGN_OR_RETURN(
           state->bc_pay1,
           ApplyBucketChainToColumn(device, *state->bc, side.table->column(1)));
-    } else {
+    } else if (side.n_payloads > 0) {
       GPUJOIN_ASSIGN_OR_RETURN(
           auto ids, vgpu::DeviceBuffer<RowId>::Allocate(device, keys.size()));
       GPUJOIN_RETURN_IF_ERROR(prim::Iota(device, &ids));
@@ -405,7 +417,8 @@ Result<JoinRunResult> JoinDriver(vgpu::Device& device, JoinAlgo algo,
             GPUJOIN_ASSIGN_OR_RETURN(
                 DeviceColumn t_pay,
                 TransformKeyPayload(device, *m.keys, t.column(c), &t_keys_again,
-                                    tkind, radix_bits, /*discard_keys=*/true));
+                                    tkind, radix_bits, /*discard_keys=*/true,
+                                    &m.state->hist));
             t_keys_again.Release();
             GPUJOIN_ASSIGN_OR_RETURN(out_col, GatherColumn(device, t_pay, *m.pos));
             t_pay.Release();
@@ -414,8 +427,10 @@ Result<JoinRunResult> JoinDriver(vgpu::Device& device, JoinAlgo algo,
         out_names.push_back(t.column_name(c));
         out_cols.push_back(std::move(out_col));
       }
-      // This side is fully materialized: its match positions / gathered IDs
-      // are dead — free them before the other side's transforms peak.
+      // This side is fully materialized: its histograms, match positions
+      // and gathered IDs are dead — free them before the other side's
+      // transforms peak.
+      m.state->hist.Release();
       if (m.pos == &match.r_pos) {
         match.r_pos.Release();
         r_ids_at_match.Release();

@@ -46,7 +46,7 @@ Result<SemiJoinRunResult> SemiJoinDriver(vgpu::Device& device, JoinAlgo algo,
 
   // --- Transform (match-finding machinery only; S carries its row ids) ---
   vgpu::DeviceBuffer<K> tr_keys, ts_keys;
-  vgpu::DeviceBuffer<RowId> tr_ids, ts_ids;
+  vgpu::DeviceBuffer<RowId> ts_ids;
   std::vector<uint64_t> r_off, s_off;
   std::optional<prim::BucketChainLayout<K>> r_bc, s_bc;
   vgpu::DeviceBuffer<RowId> r_bc_ids, s_bc_ids;
@@ -71,11 +71,8 @@ Result<SemiJoinRunResult> SemiJoinDriver(vgpu::Device& device, JoinAlgo algo,
   } else if (algo != JoinAlgo::kNphj) {
     const TransformKind tkind =
         is_smj ? TransformKind::kSort : TransformKind::kPartition;
-    GPUJOIN_ASSIGN_OR_RETURN(
-        auto r_ids, vgpu::DeviceBuffer<RowId>::Allocate(device, r.num_rows()));
-    GPUJOIN_RETURN_IF_ERROR(prim::Iota(device, &r_ids));
-    GPUJOIN_RETURN_IF_ERROR(TransformPairOutOfPlace(
-        device, r_keys, r_ids, &tr_keys, &tr_ids, tkind, radix_bits));
+    GPUJOIN_RETURN_IF_ERROR(
+        TransformKeysOutOfPlace(device, r_keys, &tr_keys, tkind, radix_bits));
     GPUJOIN_ASSIGN_OR_RETURN(
         auto s_ids, vgpu::DeviceBuffer<RowId>::Allocate(device, s.num_rows()));
     GPUJOIN_RETURN_IF_ERROR(prim::Iota(device, &s_ids));
@@ -150,7 +147,6 @@ Result<SemiJoinRunResult> SemiJoinDriver(vgpu::Device& device, JoinAlgo algo,
   match.s_pos.Release();
   tr_keys.Release();
   ts_keys.Release();
-  tr_ids.Release();
   ts_ids.Release();
   s_bc_ids.Release();
   if (r_bc.has_value()) r_bc->keys.Release();

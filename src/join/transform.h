@@ -26,15 +26,19 @@ enum class TransformKind {
   kPartition,  // RADIX-PARTITION: low `radix_bits` only (PHJ-OM).
 };
 
+/// Key bits a transform groups by: the full key width (kSort) or the low
+/// radix_bits (kPartition).
+template <typename K>
+int TransformBits(TransformKind kind, int radix_bits) {
+  return kind == TransformKind::kSort ? static_cast<int>(sizeof(K)) * 8
+                                      : radix_bits;
+}
+
 /// Out-of-place stable radix transform of (src_keys, src_vals) into
-/// (*out_keys, *out_vals): sorts by the full key width (kSort) or groups by
-/// the low total_bits (kPartition). Temp ping-pong buffers (the paper's M_t)
-/// are allocated and freed inside.
-///
-/// discard_keys: the caller never reads the transformed keys (Algorithm 1's
-/// materialization re-transform) — the final pass skips writing them, which
-/// trims a key-column from the peak footprint. *out_keys is left empty when
-/// the optimization elides the buffer entirely (two-pass partitions).
+/// (*out_keys, *out_vals), leaving the source relation untouched (GFUR
+/// materialization still reads it). discard_keys and hist are
+/// prim::RadixPartition's: re-transforms of the same key column pass back
+/// the histograms of the first one.
 template <typename K, typename V>
 Status TransformPairOutOfPlace(vgpu::Device& device,
                                const vgpu::DeviceBuffer<K>& src_keys,
@@ -42,74 +46,24 @@ Status TransformPairOutOfPlace(vgpu::Device& device,
                                vgpu::DeviceBuffer<K>* out_keys,
                                vgpu::DeviceBuffer<V>* out_vals,
                                TransformKind kind, int radix_bits,
-                               bool discard_keys = false) {
-  const uint64_t n = src_keys.size();
-  if (src_vals.size() != n) {
-    return Status::InvalidArgument("TransformPairOutOfPlace: size mismatch");
-  }
-  const int total_bits =
-      kind == TransformKind::kSort ? static_cast<int>(sizeof(K)) * 8 : radix_bits;
-  if (total_bits < 1) {
-    return Status::InvalidArgument("TransformPairOutOfPlace: bits < 1");
-  }
-  const int passes = static_cast<int>(bit_util::CeilDiv(
-      static_cast<uint64_t>(total_bits), prim::kMaxRadixBitsPerPass));
-  std::vector<int> widths(passes, total_bits / passes);
-  for (int i = 0; i < total_bits % passes; ++i) ++widths[i];
+                               bool discard_keys = false,
+                               prim::RadixHistograms* hist = nullptr) {
+  return prim::RadixPartition(device, src_keys, &src_vals, out_keys, out_vals,
+                              0, TransformBits<K>(kind, radix_bits),
+                              discard_keys, hist);
+}
 
-  GPUJOIN_ASSIGN_OR_RETURN(*out_vals, vgpu::DeviceBuffer<V>::Allocate(device, n));
-  if (passes == 1) {
-    if (discard_keys) {
-      return prim::RadixPartitionPass<K, V>(device, src_keys, src_vals, nullptr,
-                                            out_vals, 0, widths[0]);
-    }
-    GPUJOIN_ASSIGN_OR_RETURN(*out_keys,
-                             vgpu::DeviceBuffer<K>::Allocate(device, n));
-    return prim::RadixPartitionPass(device, src_keys, src_vals, out_keys,
-                                    out_vals, 0, widths[0]);
-  }
-  if (passes == 2 && discard_keys) {
-    // src -> (A_k, A_v) -> vals-only final pass into out_vals; the
-    // transformed key buffer for the final pass is never materialized.
-    GPUJOIN_ASSIGN_OR_RETURN(auto keys_a, vgpu::DeviceBuffer<K>::Allocate(device, n));
-    GPUJOIN_ASSIGN_OR_RETURN(auto vals_a, vgpu::DeviceBuffer<V>::Allocate(device, n));
-    GPUJOIN_RETURN_IF_ERROR(prim::RadixPartitionPass(
-        device, src_keys, src_vals, &keys_a, &vals_a, 0, widths[0]));
-    return prim::RadixPartitionPass<K, V>(device, keys_a, vals_a, nullptr,
-                                          out_vals, widths[0], widths[1]);
-  }
-  // Multi-pass: first pass src -> out, then ping-pong out <-> tmp; a final
-  // pointer swap (free on real hardware) puts the result in out. With
-  // discard_keys, the final pass skips the key stores (same buffers).
-  GPUJOIN_ASSIGN_OR_RETURN(*out_keys, vgpu::DeviceBuffer<K>::Allocate(device, n));
-  GPUJOIN_ASSIGN_OR_RETURN(auto keys_tmp, vgpu::DeviceBuffer<K>::Allocate(device, n));
-  GPUJOIN_ASSIGN_OR_RETURN(auto vals_tmp, vgpu::DeviceBuffer<V>::Allocate(device, n));
-  GPUJOIN_RETURN_IF_ERROR(prim::RadixPartitionPass(device, src_keys, src_vals,
-                                                   out_keys, out_vals, 0,
-                                                   widths[0]));
-  vgpu::DeviceBuffer<K>* ka = out_keys;
-  vgpu::DeviceBuffer<V>* va = out_vals;
-  vgpu::DeviceBuffer<K>* kb = &keys_tmp;
-  vgpu::DeviceBuffer<V>* vb = &vals_tmp;
-  int bit_lo = widths[0];
-  for (int p = 1; p < passes; ++p) {
-    const bool last = (p == passes - 1);
-    GPUJOIN_RETURN_IF_ERROR(prim::RadixPartitionPass(
-        device, *ka, *va, (last && discard_keys) ? nullptr : kb, vb, bit_lo,
-        widths[p]));
-    bit_lo += widths[p];
-    std::swap(ka, kb);
-    std::swap(va, vb);
-  }
-  if (ka != out_keys) {
-    std::swap(*out_keys, keys_tmp);
-    std::swap(*out_vals, vals_tmp);
-  }
-  if (discard_keys) {
-    out_keys->Release();
-    keys_tmp.Release();
-  }
-  return Status::OK();
+/// Keys-only transform: the same order, with no value stream.
+template <typename K>
+Status TransformKeysOutOfPlace(vgpu::Device& device,
+                               const vgpu::DeviceBuffer<K>& src_keys,
+                               vgpu::DeviceBuffer<K>* out_keys,
+                               TransformKind kind, int radix_bits,
+                               prim::RadixHistograms* hist = nullptr) {
+  return prim::RadixPartition<K, K>(device, src_keys, nullptr, out_keys,
+                                    nullptr, 0,
+                                    TransformBits<K>(kind, radix_bits),
+                                    /*discard_keys=*/false, hist);
 }
 
 /// Visits the typed buffer inside a DeviceColumn.
@@ -133,20 +87,19 @@ Result<DeviceColumn> TransformKeyPayload(vgpu::Device& device,
                                          const DeviceColumn& payload,
                                          vgpu::DeviceBuffer<K>* t_keys,
                                          TransformKind kind, int radix_bits,
-                                         bool discard_keys = false) {
+                                         bool discard_keys = false,
+                                         prim::RadixHistograms* hist = nullptr) {
   if (payload.type() == DataType::kInt32) {
     vgpu::DeviceBuffer<int32_t> t_payload;
-    GPUJOIN_RETURN_IF_ERROR(TransformPairOutOfPlace(device, src_keys,
-                                                    payload.i32(), t_keys,
-                                                    &t_payload, kind,
-                                                    radix_bits, discard_keys));
+    GPUJOIN_RETURN_IF_ERROR(TransformPairOutOfPlace(
+        device, src_keys, payload.i32(), t_keys, &t_payload, kind, radix_bits,
+        discard_keys, hist));
     return DeviceColumn::WrapI32(std::move(t_payload));
   }
   vgpu::DeviceBuffer<int64_t> t_payload;
-  GPUJOIN_RETURN_IF_ERROR(TransformPairOutOfPlace(device, src_keys,
-                                                  payload.i64(), t_keys,
-                                                  &t_payload, kind, radix_bits,
-                                                  discard_keys));
+  GPUJOIN_RETURN_IF_ERROR(TransformPairOutOfPlace(
+      device, src_keys, payload.i64(), t_keys, &t_payload, kind, radix_bits,
+      discard_keys, hist));
   return DeviceColumn::WrapI64(std::move(t_payload));
 }
 

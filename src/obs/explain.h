@@ -22,7 +22,7 @@ struct ExplainOptions {
 /// Renders every root span in the tracer as an indented tree:
 ///   query:join:PHJ-OM     cycles    100.0%   sim ms   peak MB
 ///   ├─ phase:transform    ...        41.4%   ...
-///   │    kernels: radix_scatter 61.2% x4, histogram 20.3% x4
+///   │    kernels: radix_scatter 61.2% x4, radix_histogram 9.3% x2
 /// Percentages are of the parent span; an "(unattributed)" line appears
 /// when a span's non-kernel children do not cover its cycles.
 std::string RenderExplain(const Tracer& tracer, const ExplainOptions& options = {});

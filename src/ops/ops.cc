@@ -137,18 +137,20 @@ Result<Table> OrderByTyped(vgpu::Device& device, const Table& input,
   std::vector<std::string> names(input.num_columns());
   std::vector<DeviceColumn> cols(input.num_columns());
   vgpu::DeviceBuffer<K> t_keys;
+  prim::RadixHistograms hist;
   bool have_keys = false;
   for (int c = 0; c < input.num_columns(); ++c) {
     names[c] = input.column_name(c);
     if (c == key_column) continue;
     // Each column rides its own stable (key, column) sort — the GFTR
-    // schedule. The sorted keys from the first transform are kept for the
-    // key column's output.
+    // schedule — and every sort after the first reuses its histograms. The
+    // sorted keys from the first transform are kept for the key column's
+    // output.
     vgpu::DeviceBuffer<K> keys_out;
     GPUJOIN_ASSIGN_OR_RETURN(
         cols[c], join::TransformKeyPayload(device, *key_buf, input.column(c),
                                            &keys_out, join::TransformKind::kSort,
-                                           0, /*discard_keys=*/have_keys));
+                                           0, /*discard_keys=*/have_keys, &hist));
     if (!have_keys) {
       t_keys = std::move(keys_out);
       have_keys = true;
@@ -156,14 +158,12 @@ Result<Table> OrderByTyped(vgpu::Device& device, const Table& input,
       keys_out.Release();
     }
   }
-  // Key column: materialize from the kept transformed keys (or sort alone
-  // when the table has a single column).
+  hist.Release();
+  // Key column: materialize from the kept transformed keys (or sort the
+  // keys alone when the table has a single column).
   if (!have_keys) {
-    GPUJOIN_ASSIGN_OR_RETURN(
-        auto ids, vgpu::DeviceBuffer<RowId>::Allocate(device, key_buf->size()));
-    vgpu::DeviceBuffer<RowId> t_ids;
-    GPUJOIN_RETURN_IF_ERROR(join::TransformPairOutOfPlace(
-        device, *key_buf, ids, &t_keys, &t_ids, join::TransformKind::kSort, 0));
+    GPUJOIN_RETURN_IF_ERROR(join::TransformKeysOutOfPlace(
+        device, *key_buf, &t_keys, join::TransformKind::kSort, 0));
   }
   GPUJOIN_ASSIGN_OR_RETURN(
       DeviceColumn key_col,

@@ -33,6 +33,11 @@ bool CpuxCanRun(const HostTable* t) {
   return t->num_rows() < uint64_t{0xFFFFFFFF};
 }
 
+/// Whether the table's key column is a string (such a key cannot be split).
+bool HasStringKey(const HostTable* t) {
+  return t != nullptr && !t->columns.empty() && t->columns[0].is_string();
+}
+
 }  // namespace
 
 const char* AdmissionDecisionName(AdmissionDecision d) {
@@ -110,7 +115,10 @@ int QueryService::ResolveFragmentBits(const QueryRequest& request,
   if (request.fragment_bits_override >= 0) {
     return std::min(request.fragment_bits_override, cap);
   }
-  if (!sched_.interleave) return 0;
+  // The automatic policy runs a string-keyed query as one fragment.
+  if (!sched_.interleave || HasStringKey(request.r) || HasStringKey(request.s)) {
+    return 0;
+  }
   return DeriveScheduleFragmentBits(need, budget_bytes_,
                                     sched_.fragment_target_fraction, cap);
 }

@@ -9,6 +9,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <string>
 #include <vector>
@@ -582,6 +583,64 @@ TEST(GroupByTableFailureSweepTest, DirectAndHashedGlobalTablesFailCleanly) {
   }
   // The hashed table's extra allocation is its key array.
   EXPECT_EQ(allocations[0] + 1, allocations[1]);
+}
+
+// OneSweep histogram objects: a wide GFTR join keeps each side's from its
+// transform to Algorithm 1's lazy re-transforms, and a multi-column GB-SORT
+// shares column 1's among its aggregate columns. Every allocation point,
+// the histogram objects' included, fails cleanly.
+TEST(HistogramReuseFailureSweepTest, WideGftrJoinsAndMultiColumnGbSort) {
+  std::vector<std::string> failures;
+  auto record = [&](Result<Rows> rows) {
+    if (!rows.ok()) failures.push_back(rows.status().message());
+    return rows;
+  };
+  const auto histogram_failures = [&] {
+    return std::count_if(failures.begin(), failures.end(),
+                         [](const std::string& m) {
+                           return m.find("radix_histograms") != std::string::npos;
+                         });
+  };
+  workload::JoinWorkloadSpec jspec;
+  jspec.r_rows = 1 << 9;
+  jspec.s_rows = 1 << 10;
+  jspec.r_payload_cols = 3;
+  jspec.s_payload_cols = 3;
+  jspec.seed = 7;
+  const workload::JoinWorkload w = workload::GenerateJoinInput(jspec).ValueOrDie();
+  for (join::JoinAlgo algo : {join::JoinAlgo::kSmjOm, join::JoinAlgo::kPhjOm}) {
+    failures.clear();
+    auto run_query = [&](Device& device) -> Result<Rows> {
+      GPUJOIN_ASSIGN_OR_RETURN(Table r, Table::FromHost(device, w.r));
+      GPUJOIN_ASSIGN_OR_RETURN(Table s, Table::FromHost(device, w.s));
+      Result<join::JoinRunResult> jr = join::RunJoin(device, algo, r, s, {});
+      if (!jr.ok()) return record(jr.status());
+      return join::CanonicalRows(jr->output.ToHost());
+    };
+    ExhaustiveFailureSweep(join::JoinAlgoName(algo), run_query);
+    EXPECT_EQ(histogram_failures(), 2) << "one object per side";
+  }
+
+  workload::GroupByWorkloadSpec gspec;
+  gspec.rows = 1 << 10;
+  gspec.num_groups = 1 << 6;
+  gspec.payload_cols = 3;
+  gspec.seed = 11;
+  const HostTable input = workload::GenerateGroupByInput(gspec).ValueOrDie();
+  groupby::GroupBySpec spec;
+  spec.aggregates.push_back({1, groupby::AggOp::kSum});
+  spec.aggregates.push_back({2, groupby::AggOp::kMax});
+  spec.aggregates.push_back({3, groupby::AggOp::kMin});
+  failures.clear();
+  auto run_groupby = [&](Device& device) -> Result<Rows> {
+    GPUJOIN_ASSIGN_OR_RETURN(Table t, Table::FromHost(device, input));
+    Result<groupby::GroupByRunResult> gr = groupby::RunGroupBy(
+        device, groupby::GroupByAlgo::kSortBased, t, spec, {});
+    if (!gr.ok()) return record(gr.status());
+    return join::CanonicalRows(gr->output.ToHost());
+  };
+  ExhaustiveFailureSweep("GB-SORT, 3 aggregate columns", run_groupby);
+  EXPECT_EQ(histogram_failures(), 1) << "one object for the key column";
 }
 
 // Chaos variant: probabilistic injection across many seeds; whatever

@@ -154,10 +154,9 @@ Side PrepareSide(vgpu::Device& device, Finder finder,
       break;
     }
     case Finder::kCoPartitioned: {
-      side.keys = DeviceBuffer<int32_t>::Allocate(device, n).ValueOrDie();
-      auto parted = DeviceBuffer<V>::Allocate(device, n).ValueOrDie();
-      GPUJOIN_CHECK_OK(prim::RadixPartitionPass(device, keys, vals, &side.keys,
-                                                &parted, 0, kRadixBits));
+      DeviceBuffer<V> parted;
+      GPUJOIN_CHECK_OK(prim::RadixPartition(device, keys, &vals, &side.keys,
+                                            &parted, 0, kRadixBits));
       GPUJOIN_CHECK_OK(prim::ComputePartitionOffsets(device, side.keys,
                                                      kRadixBits, &side.offsets));
       side.pay = WrapPayload(std::move(parted));
@@ -458,6 +457,31 @@ INSTANTIATE_TEST_SUITE_P(
       }
       return name + "_" + std::get<1>(info.param);
     });
+
+// A side without payload columns is transformed keys-only: no row-ID
+// column, no iota. Only a GFUR side with payloads to gather needs IDs.
+TEST(KeysOnlySideTest, RunsNoRowIdIota) {
+  workload::JoinWorkloadSpec spec;
+  spec.r_rows = 3000;
+  spec.s_rows = 7000;
+  spec.r_payload_cols = 0;
+  spec.s_payload_cols = 2;
+  spec.seed = 5;
+  const workload::JoinWorkload w = workload::GenerateJoinInput(spec).ValueOrDie();
+  for (join::JoinAlgo algo : join::kAllJoinAlgos) {
+    SCOPED_TRACE(join::JoinAlgoName(algo));
+    vgpu::Device device = MakeTestDevice();
+    Table r = Table::FromHost(device, w.r).ValueOrDie();
+    Table s = Table::FromHost(device, w.s).ValueOrDie();
+    device.profiler().Clear();
+    auto res = join::RunJoin(device, algo, r, s).ValueOrDie();
+    EXPECT_EQ(join::CanonicalRows(res.output.ToHost()),
+              join::ReferenceJoinRows(w.r, w.s));
+    const bool gfur = algo == join::JoinAlgo::kSmjUm ||
+                      algo == join::JoinAlgo::kPhjUm;
+    EXPECT_EQ(device.profiler().ProfileFor("iota").invocations, gfur ? 1u : 0u);
+  }
+}
 
 }  // namespace
 }  // namespace gpujoin

@@ -141,6 +141,39 @@ TEST_F(TraceTest, NarrowJoinSkipsMaterializePhase) {
   }
 }
 
+TEST_F(TraceTest, WideGftrMaterializeRunsNoHistogramKernel) {
+  // Algorithm 1's lazy re-transforms hand back the histograms each side's
+  // transform built: one radix_histogram per side, all in the transform
+  // phase, while the materialize phase still runs its scatters.
+  const workload::JoinWorkload w = SmallJoinWorkload(/*payload_cols=*/3);
+  for (join::JoinAlgo algo : {join::JoinAlgo::kSmjOm, join::JoinAlgo::kPhjOm}) {
+    SCOPED_TRACE(join::JoinAlgoName(algo));
+    obs::Tracer::Global().Clear();
+    vgpu::Device device = testing::MakeTestDevice();
+    ASSERT_OK_AND_ASSIGN(Table r, Table::FromHost(device, w.r));
+    ASSERT_OK_AND_ASSIGN(Table s, Table::FromHost(device, w.s));
+    ASSERT_OK(join::RunJoin(device, algo, r, s).status());
+
+    const auto& spans = obs::Tracer::Global().spans();
+    const obs::SpanRecord* root = FindRoot(spans, "query");
+    ASSERT_NE(root, nullptr);
+    const auto phases = ChildrenOf(spans, root->id, "phase");
+    ASSERT_EQ(phases.size(), 3u);
+    auto kernels_under = [&](const obs::SpanRecord* phase, const char* name) {
+      int n = 0;
+      for (const auto* k : ChildrenOf(spans, phase->id, "kernel")) {
+        n += k->name == name;
+      }
+      return n;
+    };
+    EXPECT_EQ(phases[0]->name, "transform");
+    EXPECT_EQ(kernels_under(phases[0], "radix_histogram"), 2);
+    EXPECT_EQ(phases[2]->name, "materialize");
+    EXPECT_EQ(kernels_under(phases[2], "radix_histogram"), 0);
+    EXPECT_GT(kernels_under(phases[2], "radix_scatter"), 0);
+  }
+}
+
 TEST_F(TraceTest, GroupBySpanTreeShapePerStrategy) {
   struct Expectation {
     groupby::GroupByAlgo algo;

@@ -115,10 +115,8 @@ TEST_P(CoPartitionedHashJoinTest, MatchesReferenceCount) {
   auto prep = [&](const std::vector<int32_t>& host) {
     auto keys = DeviceBuffer<int32_t>::FromHost(device, host).ValueOrDie();
     auto vals = DeviceBuffer<int32_t>::Allocate(device, host.size()).ValueOrDie();
-    auto ko = DeviceBuffer<int32_t>::Allocate(device, host.size()).ValueOrDie();
-    auto vo = DeviceBuffer<int32_t>::Allocate(device, host.size()).ValueOrDie();
-    GPUJOIN_CHECK_OK(
-        RadixPartitionPass(device, keys, vals, &ko, &vo, 0, bits));
+    DeviceBuffer<int32_t> ko, vo;
+    GPUJOIN_CHECK_OK(RadixPartition(device, keys, &vals, &ko, &vo, 0, bits));
     std::vector<uint64_t> offsets;
     GPUJOIN_CHECK_OK(ComputePartitionOffsets(device, ko, bits, &offsets));
     return std::make_pair(std::move(ko), std::move(offsets));

@@ -1,10 +1,13 @@
 // RADIX-PARTITION primitive: correctness against std::stable_sort-by-digit,
 // stability (the property GFTR's payload alignment rests on, §4.3),
-// multi-pass composition, and partition-offset computation.
+// multi-pass composition, OneSweep charging (one histogram kernel per
+// transform, none when the histograms are handed back, 17 scans for a
+// 4-byte SORT-PAIRS), and partition-offset computation.
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <limits>
 #include <random>
 #include <vector>
 
@@ -47,11 +50,10 @@ TEST_P(RadixPartitionPassTest, MatchesStableSortByDigit) {
     keys[i] = pairs[i].key;
     vals[i] = pairs[i].val;
   }
-  auto keys_out = DeviceBuffer<int32_t>::Allocate(device, n).ValueOrDie();
-  auto vals_out = DeviceBuffer<int32_t>::Allocate(device, n).ValueOrDie();
-  std::vector<uint64_t> hist;
-  ASSERT_OK(RadixPartitionPass(device, keys, vals, &keys_out, &vals_out, 2,
-                               bits, &hist));
+  DeviceBuffer<int32_t> keys_out, vals_out;
+  RadixHistograms hist;
+  ASSERT_OK(RadixPartition(device, keys, &vals, &keys_out, &vals_out, 2, bits,
+                           /*discard_keys=*/false, &hist));
 
   // Reference: stable sort by the same digit.
   std::stable_sort(pairs.begin(), pairs.end(), [&](const Pair& a, const Pair& b) {
@@ -64,9 +66,9 @@ TEST_P(RadixPartitionPassTest, MatchesStableSortByDigit) {
   }
 
   // Histogram integrity.
-  ASSERT_EQ(hist.size(), size_t{1} << bits);
+  ASSERT_EQ(hist.widths, std::vector<int>{bits});
   uint64_t total = 0;
-  for (uint64_t c : hist) total += c;
+  for (uint32_t d = 0; d < (1u << bits); ++d) total += hist.Count(0, d);
   EXPECT_EQ(total, n);
 }
 
@@ -77,19 +79,19 @@ TEST(RadixPartitionPassTest, RejectsBadBitWidths) {
   vgpu::Device device = MakeTestDevice();
   auto keys = DeviceBuffer<int32_t>::Allocate(device, 16).ValueOrDie();
   auto vals = DeviceBuffer<int32_t>::Allocate(device, 16).ValueOrDie();
-  auto ko = DeviceBuffer<int32_t>::Allocate(device, 16).ValueOrDie();
-  auto vo = DeviceBuffer<int32_t>::Allocate(device, 16).ValueOrDie();
-  EXPECT_FALSE(RadixPartitionPass(device, keys, vals, &ko, &vo, 0, 0).ok());
-  EXPECT_FALSE(RadixPartitionPass(device, keys, vals, &ko, &vo, 0, 9).ok());
+  DeviceBuffer<int32_t> ko, vo;
+  EXPECT_FALSE(RadixPartition(device, keys, &vals, &ko, &vo, 0, 0).ok());
+  // Beyond the key width.
+  EXPECT_FALSE(RadixPartition(device, keys, &vals, &ko, &vo, 0, 33).ok());
+  EXPECT_FALSE(RadixPartition(device, keys, &vals, &ko, &vo, 30, 3).ok());
 }
 
 TEST(RadixPartitionPassTest, RejectsSizeMismatch) {
   vgpu::Device device = MakeTestDevice();
   auto keys = DeviceBuffer<int32_t>::Allocate(device, 16).ValueOrDie();
   auto vals = DeviceBuffer<int32_t>::Allocate(device, 8).ValueOrDie();
-  auto ko = DeviceBuffer<int32_t>::Allocate(device, 16).ValueOrDie();
-  auto vo = DeviceBuffer<int32_t>::Allocate(device, 16).ValueOrDie();
-  EXPECT_FALSE(RadixPartitionPass(device, keys, vals, &ko, &vo, 0, 4).ok());
+  DeviceBuffer<int32_t> ko, vo;
+  EXPECT_FALSE(RadixPartition(device, keys, &vals, &ko, &vo, 0, 4).ok());
 }
 
 class MultiPassTest : public ::testing::TestWithParam<int> {};
@@ -100,18 +102,17 @@ TEST_P(MultiPassTest, GroupsByFullDigitStably) {
   const uint64_t n = 20000;
   auto pairs = RandomPairs(n, 1 << 18, 7);
 
-  auto keys = DeviceBuffer<int32_t>::Allocate(device, n).ValueOrDie();
-  auto vals = DeviceBuffer<int32_t>::Allocate(device, n).ValueOrDie();
-  auto keys_tmp = DeviceBuffer<int32_t>::Allocate(device, n).ValueOrDie();
-  auto vals_tmp = DeviceBuffer<int32_t>::Allocate(device, n).ValueOrDie();
+  auto in_keys = DeviceBuffer<int32_t>::Allocate(device, n).ValueOrDie();
+  auto in_vals = DeviceBuffer<int32_t>::Allocate(device, n).ValueOrDie();
   for (uint64_t i = 0; i < n; ++i) {
-    keys[i] = pairs[i].key;
-    vals[i] = pairs[i].val;
+    in_keys[i] = pairs[i].key;
+    in_vals[i] = pairs[i].val;
   }
-  auto passes = RadixPartitionMultiPass(device, &keys, &vals, &keys_tmp,
-                                        &vals_tmp, total_bits);
-  ASSERT_OK(passes);
-  EXPECT_EQ(*passes, static_cast<int>(bit_util::CeilDiv(total_bits, 8)));
+  DeviceBuffer<int32_t> keys, vals;
+  RadixHistograms hist;
+  ASSERT_OK(RadixPartition(device, in_keys, &in_vals, &keys, &vals, 0,
+                           total_bits, /*discard_keys=*/false, &hist));
+  EXPECT_EQ(hist.widths.size(), bit_util::CeilDiv(total_bits, 8));
 
   std::stable_sort(pairs.begin(), pairs.end(), [&](const Pair& a, const Pair& b) {
     return bit_util::RadixDigit(a.key, 0, total_bits) <
@@ -165,13 +166,219 @@ TEST(RadixPartitionDeterminismTest, IdenticalAcrossRuns) {
       keys[i] = pairs[i].key;
       vals[i] = pairs[i].val;
     }
-    auto ko = DeviceBuffer<int32_t>::Allocate(device, n).ValueOrDie();
-    auto vo = DeviceBuffer<int32_t>::Allocate(device, n).ValueOrDie();
-    ASSERT_OK(RadixPartitionPass(device, keys, vals, &ko, &vo, 0, 8));
+    DeviceBuffer<int32_t> ko, vo;
+    ASSERT_OK(RadixPartition(device, keys, &vals, &ko, &vo, 0, 8));
     auto& target = run == 0 ? first_keys : second_keys;
     target.assign(ko.data(), ko.data() + n);
   }
   EXPECT_EQ(first_keys, second_keys);
+}
+
+// --- OneSweep: one histogram per key column, shared by every pass ---
+
+/// Stable-sorted (key, value) reference by key bits [0, total_bits).
+template <typename K, typename V>
+void ExpectStableByDigit(const std::vector<K>& keys, const std::vector<V>& vals,
+                         int total_bits, const DeviceBuffer<K>& ko,
+                         const DeviceBuffer<V>& vo) {
+  std::vector<uint64_t> order(keys.size());
+  for (uint64_t i = 0; i < order.size(); ++i) order[i] = i;
+  // The digit may be wider than RadixDigit's 32-bit result; keys are
+  // non-negative, so the full key width orders by value.
+  const uint64_t mask = total_bits >= 63 ? ~uint64_t{0}
+                                         : (uint64_t{1} << total_bits) - 1;
+  const auto digit = [&](K key) { return static_cast<uint64_t>(key) & mask; };
+  std::stable_sort(order.begin(), order.end(), [&](uint64_t a, uint64_t b) {
+    return digit(keys[a]) < digit(keys[b]);
+  });
+  for (uint64_t i = 0; i < order.size(); ++i) {
+    ASSERT_EQ(ko[i], keys[order[i]]) << "key at " << i;
+    ASSERT_EQ(vo[i], vals[order[i]]) << "value at " << i;
+  }
+}
+
+template <typename K, typename V>
+void CheckBitIdenticalAcrossPassesAndThreads() {
+  const uint64_t n = 3 * kPartitionTileElems + 17;  // Ragged last tile.
+  std::mt19937_64 rng(23);
+  std::vector<K> keys(n);
+  std::vector<V> vals(n);
+  for (uint64_t i = 0; i < n; ++i) {
+    keys[i] = static_cast<K>(rng() & static_cast<uint64_t>(
+                                          std::numeric_limits<K>::max()));
+    vals[i] = static_cast<V>(rng());
+  }
+  for (int passes = 1; passes <= static_cast<int>(sizeof(K)); ++passes) {
+    const int total_bits = passes * 8;
+    vgpu::KernelStats first;
+    for (int threads : {1, 4, 7}) {
+      SCOPED_TRACE(::testing::Message() << sizeof(K) << "B keys, " << sizeof(V)
+                                        << "B values, " << passes
+                                        << " passes, " << threads << " threads");
+      vgpu::Device device = MakeTestDevice();
+      device.set_parallel_sim(threads);
+      auto dk = DeviceBuffer<K>::FromHost(device, keys).ValueOrDie();
+      auto dv = DeviceBuffer<V>::FromHost(device, vals).ValueOrDie();
+      DeviceBuffer<K> ko;
+      DeviceBuffer<V> vo;
+      ASSERT_OK(RadixPartition(device, dk, &dv, &ko, &vo, 0, total_bits));
+      ExpectStableByDigit(keys, vals, total_bits, ko, vo);
+      const vgpu::KernelStats& stats = device.total_stats();
+      if (threads == 1) {
+        first = stats;
+        continue;
+      }
+      EXPECT_EQ(stats.cycles, first.cycles);
+      EXPECT_EQ(stats.dram_sectors, first.dram_sectors);
+      EXPECT_EQ(stats.l2_hit_sectors, first.l2_hit_sectors);
+      EXPECT_EQ(stats.warp_instructions, first.warp_instructions);
+    }
+  }
+}
+
+TEST(OneSweepTest, BitIdenticalToStableSortAcrossPassesAndThreads) {
+  CheckBitIdenticalAcrossPassesAndThreads<int32_t, int32_t>();
+  CheckBitIdenticalAcrossPassesAndThreads<int32_t, int64_t>();
+  CheckBitIdenticalAcrossPassesAndThreads<int64_t, int32_t>();
+  CheckBitIdenticalAcrossPassesAndThreads<int64_t, int64_t>();
+}
+
+TEST(OneSweepTest, OneHistogramKernelPerTransformNoneWhenHandedBack) {
+  const uint64_t n = 10000;
+  auto pairs = RandomPairs(n, 1 << 30, 5);
+  for (int total_bits : {6, 16, 20, 31}) {
+    SCOPED_TRACE(total_bits);
+    const uint64_t passes = bit_util::CeilDiv(total_bits, 8);
+    vgpu::Device device = MakeTestDevice();
+    auto keys = DeviceBuffer<int32_t>::Allocate(device, n).ValueOrDie();
+    auto vals = DeviceBuffer<int32_t>::Allocate(device, n).ValueOrDie();
+    auto vals2 = DeviceBuffer<int64_t>::Allocate(device, n).ValueOrDie();
+    for (uint64_t i = 0; i < n; ++i) {
+      keys[i] = pairs[i].key;
+      vals[i] = pairs[i].val;
+      vals2[i] = int64_t{pairs[i].val} * 3;
+    }
+    auto& profiler = device.profiler();
+    profiler.Clear();
+    RadixHistograms hist;
+    DeviceBuffer<int32_t> ko, vo;
+    ASSERT_OK(RadixPartition(device, keys, &vals, &ko, &vo, 0, total_bits,
+                             /*discard_keys=*/false, &hist));
+    EXPECT_EQ(profiler.ProfileFor("radix_histogram").invocations, 1u);
+    EXPECT_EQ(profiler.ProfileFor("radix_scan").invocations, 1u);
+    EXPECT_EQ(profiler.ProfileFor("radix_scatter").invocations, passes);
+
+    // A re-transform of the same keys (Algorithm 1) runs the scatters only
+    // and lands every value where the first transform put its row.
+    profiler.Clear();
+    DeviceBuffer<int32_t> ko2;
+    DeviceBuffer<int64_t> vo2;
+    ASSERT_OK(RadixPartition(device, keys, &vals2, &ko2, &vo2, 0, total_bits,
+                             /*discard_keys=*/true, &hist));
+    EXPECT_EQ(profiler.ProfileFor("radix_histogram").invocations, 0u);
+    EXPECT_EQ(profiler.ProfileFor("radix_scan").invocations, 0u);
+    EXPECT_EQ(profiler.ProfileFor("radix_scatter").invocations, passes);
+    EXPECT_TRUE(ko2.empty());
+    for (uint64_t i = 0; i < n; ++i) {
+      ASSERT_EQ(vo2[i], int64_t{vo[i]} * 3) << "at " << i;
+    }
+  }
+}
+
+TEST(OneSweepTest, SortPairsOfFourByteKeyAndPayloadMovesSeventeenScans) {
+  vgpu::Device device = MakeTestDevice();
+  const uint64_t n = uint64_t{1} << 16;
+  auto pairs = RandomPairs(n, std::numeric_limits<int32_t>::max(), 11);
+  auto keys = DeviceBuffer<int32_t>::Allocate(device, n).ValueOrDie();
+  auto vals = DeviceBuffer<int32_t>::Allocate(device, n).ValueOrDie();
+  for (uint64_t i = 0; i < n; ++i) {
+    keys[i] = pairs[i].key;
+    vals[i] = pairs[i].val;
+  }
+  const vgpu::KernelStats before = device.total_stats();
+  DeviceBuffer<int32_t> ko, vo;
+  ASSERT_OK(RadixPartition(device, keys, &vals, &ko, &vo, 0, 32));  // SORT-PAIRS.
+  vgpu::KernelStats moved = device.total_stats();
+  moved.Sub(before);
+  // One key read, then 4 passes that read and write keys and payloads.
+  const uint64_t scans = 17 * n * 4;
+  // Per pass and tile: read the predecessor's 256 4-byte descriptors and
+  // publish the tile's own; plus the histogram object's flush.
+  const uint64_t passes = 4, fanout = 256;
+  const uint64_t lookback =
+      passes * (bit_util::CeilDiv(n, kPartitionTileElems) + 1) * fanout * 4 * 2;
+  const uint64_t bytes = moved.bytes_read + moved.bytes_written;
+  EXPECT_GE(bytes, scans);
+  EXPECT_LE(bytes, scans + lookback);
+}
+
+TEST(OneSweepTest, KeysOnlyModeCarriesNoValueStream) {
+  vgpu::Device device = MakeTestDevice();
+  const uint64_t n = 9000;
+  auto pairs = RandomPairs(n, 1 << 20, 13);
+  auto keys = DeviceBuffer<int32_t>::Allocate(device, n).ValueOrDie();
+  auto vals = DeviceBuffer<int32_t>::Allocate(device, n).ValueOrDie();
+  for (uint64_t i = 0; i < n; ++i) {
+    keys[i] = pairs[i].key;
+    vals[i] = pairs[i].val;
+  }
+  const vgpu::KernelStats start = device.total_stats();
+  DeviceBuffer<int32_t> ko, vo;
+  ASSERT_OK(RadixPartition(device, keys, &vals, &ko, &vo, 0, 20));
+  const uint64_t live_before = device.memory_stats().live_bytes;
+  const vgpu::KernelStats mid = device.total_stats();
+  DeviceBuffer<int32_t> ko_only;
+  ASSERT_OK((RadixPartition<int32_t, int32_t>(device, keys, nullptr, &ko_only,
+                                              nullptr, 0, 20)));
+  vgpu::KernelStats pair = mid, keys_only = device.total_stats();
+  pair.Sub(start);
+  keys_only.Sub(mid);
+  // Same order, only the key buffer stays live, and each of the 3 passes
+  // reads and writes no values.
+  for (uint64_t i = 0; i < n; ++i) ASSERT_EQ(ko_only[i], ko[i]) << "at " << i;
+  EXPECT_EQ(device.memory_stats().live_bytes, live_before + n * 4);
+  EXPECT_EQ(pair.bytes_read - keys_only.bytes_read, 3 * n * 4);
+  EXPECT_EQ(pair.bytes_written - keys_only.bytes_written, 3 * n * 4);
+  // A keys-only transform has nothing left to write if it drops its keys.
+  DeviceBuffer<int32_t> none;
+  EXPECT_FALSE((RadixPartition<int32_t, int32_t>(device, keys, nullptr, &none,
+                                                 nullptr, 0, 20, true))
+                   .ok());
+}
+
+TEST(OneSweepTest, RejectsHistogramsThatDoNotMatchTheKeys) {
+  vgpu::Device device = MakeTestDevice();
+  const uint64_t n = 5000;
+  auto pairs = RandomPairs(n, 1 << 16, 17);
+  auto keys = DeviceBuffer<int32_t>::Allocate(device, n).ValueOrDie();
+  auto copy = DeviceBuffer<int32_t>::Allocate(device, n).ValueOrDie();
+  auto vals = DeviceBuffer<int32_t>::Allocate(device, n).ValueOrDie();
+  auto shorter = DeviceBuffer<int32_t>::Allocate(device, n - 1).ValueOrDie();
+  for (uint64_t i = 0; i < n; ++i) {
+    keys[i] = copy[i] = pairs[i].key;
+    vals[i] = pairs[i].val;
+  }
+  RadixHistograms hist;
+  DeviceBuffer<int32_t> ko, vo;
+  ASSERT_OK(RadixPartition(device, keys, &vals, &ko, &vo, 0, 16, false, &hist));
+  auto rejected = [&](const DeviceBuffer<int32_t>& k, int bit_lo, int bits) {
+    DeviceBuffer<int32_t> k2, v2;
+    const Status st = RadixPartition(device, k, &vals, &k2, &v2, bit_lo, bits,
+                                     false, &hist);
+    return st.code() == StatusCode::kInvalidArgument;
+  };
+  EXPECT_TRUE(rejected(copy, 0, 16));   // Equal contents, other buffer.
+  EXPECT_TRUE(rejected(keys, 0, 12));   // Other widths.
+  EXPECT_TRUE(rejected(keys, 4, 16));   // Other digit positions.
+  DeviceBuffer<int32_t> k2, v2;
+  EXPECT_EQ(RadixPartition(device, shorter, &shorter, &k2, &v2, 0, 16, false,
+                           &hist)
+                .code(),
+            StatusCode::kInvalidArgument);  // Other size.
+  // The same buffer rewritten in place: the scatter's recount catches it.
+  std::swap(keys[0], keys[1]);
+  keys[0] ^= 1;
+  EXPECT_TRUE(rejected(keys, 0, 16));
 }
 
 }  // namespace

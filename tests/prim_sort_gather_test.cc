@@ -8,7 +8,7 @@
 #include <vector>
 
 #include "prim/gather.h"
-#include "prim/sort_pairs.h"
+#include "prim/radix_partition.h"
 #include "test_util.h"
 #include "vgpu/buffer.h"
 
@@ -17,6 +17,20 @@ namespace {
 
 using testing::MakeTestDevice;
 using vgpu::DeviceBuffer;
+
+/// SORT-PAIRS (the transform over the full key width) into fresh buffers,
+/// moved back over the inputs.
+template <typename K, typename V>
+Status SortInPlace(vgpu::Device& device, DeviceBuffer<K>* keys,
+                   DeviceBuffer<V>* vals) {
+  DeviceBuffer<K> sorted_keys;
+  DeviceBuffer<V> sorted_vals;
+  GPUJOIN_RETURN_IF_ERROR(RadixPartition(device, *keys, vals, &sorted_keys,
+                                         &sorted_vals, 0, sizeof(K) * 8));
+  *keys = std::move(sorted_keys);
+  *vals = std::move(sorted_vals);
+  return Status::OK();
+}
 
 template <typename K>
 void CheckSortAgainstStdSort(uint64_t n, K key_range, uint64_t seed) {
@@ -30,7 +44,7 @@ void CheckSortAgainstStdSort(uint64_t n, K key_range, uint64_t seed) {
     keys[i] = ref[i].first;
     vals[i] = ref[i].second;
   }
-  ASSERT_OK(SortPairsAllocTemp(device, &keys, &vals));
+  ASSERT_OK(SortInPlace(device, &keys, &vals));
   std::stable_sort(ref.begin(), ref.end(),
                    [](const auto& a, const auto& b) { return a.first < b.first; });
   for (uint64_t i = 0; i < n; ++i) {
@@ -56,7 +70,7 @@ TEST(SortPairsTest, HandlesAllEqualKeys) {
     keys[i] = 5;
     vals[i] = static_cast<int32_t>(i);
   }
-  ASSERT_OK(SortPairsAllocTemp(device, &keys, &vals));
+  ASSERT_OK(SortInPlace(device, &keys, &vals));
   // Stability: equal keys preserve input order.
   for (uint64_t i = 0; i < n; ++i) {
     EXPECT_EQ(vals[i], static_cast<int32_t>(i));
@@ -69,7 +83,7 @@ TEST(SortPairsTest, SingleElement) {
   auto vals = DeviceBuffer<int32_t>::Allocate(device, 1).ValueOrDie();
   keys[0] = 9;
   vals[0] = -4;
-  ASSERT_OK(SortPairsAllocTemp(device, &keys, &vals));
+  ASSERT_OK(SortInPlace(device, &keys, &vals));
   EXPECT_EQ(keys[0], 9);
   EXPECT_EQ(vals[0], -4);
 }
@@ -83,7 +97,7 @@ TEST(SortPairsTest, AlreadySortedStaysSorted) {
     keys[i] = static_cast<int32_t>(i);
     vals[i] = static_cast<int32_t>(n - i);
   }
-  ASSERT_OK(SortPairsAllocTemp(device, &keys, &vals));
+  ASSERT_OK(SortInPlace(device, &keys, &vals));
   for (uint64_t i = 0; i < n; ++i) {
     ASSERT_EQ(keys[i], static_cast<int32_t>(i));
     ASSERT_EQ(vals[i], static_cast<int32_t>(n - i));

@@ -16,6 +16,7 @@
 #include "ops/operator.h"
 #include "service/fragments.h"
 #include "service/query_service.h"
+#include "stats/estimator.h"
 #include "storage/table.h"
 #include "test_util.h"
 #include "vgpu/device.h"
@@ -165,6 +166,46 @@ TEST(StringSplitTest, StringKeyIsRefusedWhereverASplitIsRequested) {
   req.fragment_bits_override = 1;
   EXPECT_EQ(service.Submit(std::move(req)).status().code(),
             StatusCode::kInvalidArgument);
+}
+
+TEST(StringSplitTest, StringKeyRunsWholeWhereThePolicyWouldSplit) {
+  HostTable r = StringPayloadR();
+  std::swap(r.columns[0], r.columns[1]);  // The string column is the key.
+  HostTable s = IntProbeS();
+  // S probes with R's names, as the codes a whole-table upload assigns.
+  HostColumn names{"name", DataType::kInt32, {}, {}};
+  for (uint64_t i = 0; i < s.num_rows(); ++i) {
+    names.strings.push_back("name_" + std::to_string((i * 5) % 11));
+  }
+  s.columns[0] = std::move(names);
+
+  // A budget this tight makes the automatic policy ask for a split.
+  service::ServiceOptions options;
+  options.budget_bytes = 2 * stats::EstimateJoinMemory(r, s).total_bytes();
+  ASSERT_GT(service::DeriveScheduleFragmentBits(
+                options.budget_bytes / 2, options.budget_bytes,
+                options.scheduler.fragment_target_fraction,
+                options.scheduler.max_fragment_bits),
+            0);
+  for (join::JoinAlgo algo : join::kAllJoinAlgos) {
+    SCOPED_TRACE(join::JoinAlgoName(algo));
+    vgpu::Device device = MakeTestDevice();
+    service::QueryService service(device, options);
+    service::QueryRequest req;
+    req.kind = service::QueryKind::kJoin;
+    req.join_algo = algo;
+    req.r = &r;
+    req.s = &s;
+    ASSERT_OK_AND_ASSIGN(int id, service.Submit(std::move(req)));
+    ASSERT_OK(service.Drain());
+    const service::QueryOutcome& out = service.outcome(id);
+    ASSERT_OK(out.status);
+    EXPECT_EQ(out.fragments_total, 1);
+    const std::vector<std::vector<int64_t>> direct = DirectJoinRows(algo, r, s);
+    EXPECT_GT(direct.size(), s.num_rows());
+    EXPECT_EQ(join::CanonicalRows(out.output), direct);
+    ASSERT_OK(device.CheckNoLeaks());
+  }
 }
 
 /// Sums the host-to-device bytes the device charges.
