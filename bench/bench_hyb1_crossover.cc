@@ -15,7 +15,9 @@
 // cpux wins by >=2x at the smallest scale, vgpu wins at the largest, and
 // the router's pick is within 5% of the best measured backend everywhere.
 // GPUJOIN_BACKEND forces every "auto" row onto one backend (the assertions
-// are skipped when forced). GPUJOIN_SIM_THREADS sizes the cpux pool.
+// are skipped when forced). The cpux pool and the router's cost model use
+// one worker whatever GPUJOIN_SIM_THREADS says, so the routing, and with it
+// every row of the report, is the same at every simulation fan-out.
 
 #include <algorithm>
 #include <cstdio>
@@ -109,18 +111,19 @@ int main() {
   harness::PrintBanner("HYB1 crossover",
                        "cpux/vgpu crossover and cost-based routing");
   vgpu::Device device = harness::MakeBenchDevice();
-  const int threads = harness::SimThreadsFromEnv();
+  // The worker count the committed baseline was recorded with.
+  constexpr int kCpuxThreads = 1;
   const bool assert_crossover = [] {
     const char* v = std::getenv("GPUJOIN_HYB1_ASSERT");
     return v != nullptr && v[0] != '\0' && v[0] != '0';
   }();
 
   ops::RouterOptions ropts;
-  ropts.cpux_threads = threads;
+  ropts.cpux_threads = kCpuxThreads;
   ropts = ops::RouterOptions::FromEnv(ropts);
   const bool forced = ropts.force != ops::Backend::kAuto;
 
-  ops::CpuxProvider cpux(threads);
+  ops::CpuxProvider cpux(kCpuxThreads);
   ops::VgpuProvider vgpu(device);
   ops::Router router(device, ropts);
 

@@ -9,9 +9,11 @@
 namespace gpujoin::groupby {
 
 Result<ResilientGroupByResult> RunGroupByResilient(
-    vgpu::Device& device, GroupByAlgo algo, const Table& input,
+    vgpu::Device& device, GroupByAlgo algo, const HostTable& host_input,
     const GroupBySpec& spec, const GroupByResilienceOptions& options) {
+  GPUJOIN_ASSIGN_OR_RETURN(Table input, Table::FromHost(device, host_input));
   ResilientGroupByResult res;
+  GroupByRunResult run;
   obs::TraceSpan query_span(
       device, "query",
       std::string("resilient_groupby:") + GroupByAlgoName(algo));
@@ -24,7 +26,7 @@ Result<ResilientGroupByResult> RunGroupByResilient(
   };
   const auto attempt = [&]() -> Status {
     GPUJOIN_ASSIGN_OR_RETURN(
-        res.run, RunGroupBy(device, res.algo_used, input, spec, gopts));
+        run, RunGroupBy(device, res.algo_used, input, spec, gopts));
     return Status::OK();
   };
   // Rungs by footprint: global table -> partitioned -> more bits -> sort.
@@ -56,6 +58,8 @@ Result<ResilientGroupByResult> RunGroupByResilient(
                       .escalate = escalate};
   GPUJOIN_ASSIGN_OR_RETURN(res.attempts,
                            RunLadder(device, ladder, &res.degradation));
+  res.output = run.output.ToHost();
+  res.output_rows = run.num_groups;
   return res;
 }
 

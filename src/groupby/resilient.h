@@ -32,8 +32,9 @@ struct GroupByResilienceOptions : LadderBudget {
 };
 
 struct ResilientGroupByResult {
-  /// The completed run (device-resident output table and phase stats).
-  GroupByRunResult run;
+  /// The groups, downloaded to host.
+  HostTable output;
+  uint64_t output_rows = 0;
   /// Attempts consumed (1 = first try succeeded, no degradation).
   int attempts = 0;
   /// Strategy that finally completed (== requested when no fallback fired).
@@ -42,11 +43,13 @@ struct ResilientGroupByResult {
   std::vector<DegradationStep> degradation;
 };
 
-/// Groups `input` (keys in column 0) by `spec`, degrading along the ladder
-/// above instead of failing on ResourceExhausted/OutOfMemory. Non-resource
-/// errors propagate immediately.
+/// Groups host table `input` (keys in column 0) by `spec`, degrading along
+/// the ladder above instead of failing on ResourceExhausted/OutOfMemory.
+/// The input is uploaded once, before the first attempt; every attempt
+/// aggregates that one copy. Non-resource errors (an upload failure
+/// included) propagate immediately.
 Result<ResilientGroupByResult> RunGroupByResilient(
-    vgpu::Device& device, GroupByAlgo algo, const Table& input,
+    vgpu::Device& device, GroupByAlgo algo, const HostTable& input,
     const GroupBySpec& spec, const GroupByResilienceOptions& options = {});
 
 }  // namespace gpujoin::groupby

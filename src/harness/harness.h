@@ -9,10 +9,10 @@
 //   GPUJOIN_SIM_THREADS host threads for the parallel simulation path
 //                       (default 1 = sequential). Simulated results and
 //                       stats are bit-identical for every value; only host
-//                       wall-clock changes (see DESIGN.md §12). Also sizes
-//                       the cpux backend's worker pool in benches and the
-//                       service (same contract: results are bit-identical
-//                       at every setting).
+//                       wall-clock changes (see DESIGN.md §12). It does not
+//                       size any cpux worker pool: the router's cost model
+//                       reads the cpux thread count, so a pool sized from
+//                       this knob would change routing decisions.
 //   GPUJOIN_BACKEND     operator backend: "auto" (cost-based routing),
 //                       "cpu"/"cpux" (vectorized host engines), or
 //                       "gpu"/"vgpu" (simulated device). Parsed by

@@ -119,17 +119,8 @@ Result<JoinRunResult> JoinDriver(vgpu::Device& device, JoinAlgo algo,
   const SideDesc sd{&s, s.num_columns() - 1, s.num_columns() - 1 == 1};
   const bool narrow_join = rd.n_payloads <= 1 && sd.n_payloads <= 1;
 
-  const uint64_t capacity = prim::SharedHashCapacity<K>(device);
-  int radix_bits = opts.radix_bits_override > 0
-                       ? opts.radix_bits_override
-                       : ChoosePartitionBits<K>(r.num_rows(), capacity);
-  radix_bits = std::min(radix_bits, 16);
-  const uint32_t bucket_elems =
-      opts.bucket_elems_override > 0
-          ? opts.bucket_elems_override
-          : static_cast<uint32_t>(std::min<uint64_t>(capacity, 4096));
-  const int bits1 = std::min(8, std::max(1, (radix_bits + 1) / 2));
-  const int bits2 = std::min(8, radix_bits - bits1);
+  const auto [capacity, radix_bits, bits1, bits2, bucket_elems] =
+      SizePartitions<K>(device, r.num_rows(), opts.radix_bits_override);
 
   device.ResetPeakMemory();
   JoinRunResult res;
@@ -203,7 +194,7 @@ Result<JoinRunResult> JoinDriver(vgpu::Device& device, JoinAlgo algo,
     vgpu::AllocTagScope tag(device, "join:transform:" + side.table->name());
     GPUJOIN_ASSIGN_OR_RETURN(
         auto layout,
-        prim::BuildBucketChainLayout(device, keys, bits1, std::max(bits2, 0),
+        prim::BuildBucketChainLayout(device, keys, bits1, bits2,
                                      bucket_elems));
     state->bc.emplace(std::move(layout));
     if (side.narrow) {

@@ -52,8 +52,6 @@ struct JoinOptions {
   /// Override the partitioned joins' total radix bits (default: derived
   /// from the shared-memory hash-table capacity).
   int radix_bits_override = -1;
-  /// Override the bucket size (elements) of PHJ-UM's chains.
-  uint32_t bucket_elems_override = 0;
   /// GFTR ablation: transform ALL payload columns in the transformation
   /// phase (early-materialization style) instead of Algorithm 1's lazy
   /// one-column-at-a-time schedule. Same results, but all transformed

@@ -52,14 +52,37 @@ Result<std::vector<HostTable>> PartitionHostByKeyRadix(const HostTable& t,
   return frags;
 }
 
-int DeriveFragmentBits(const vgpu::Device& device, const HostTable& r,
-                       const HostTable& s, double device_budget_fraction) {
-  const double budget = static_cast<double>(device.config().global_mem_bytes) *
-                        device_budget_fraction;
-  const double total =
-      static_cast<double>(r.device_bytes() + s.device_bytes());
-  int bits = 1;
-  while (bits < 16 && total / static_cast<double>(1u << bits) > budget) {
+Result<FragmentPlan> FragmentPlan::Split(const HostTable& r,
+                                         const HostTable* s, int bits) {
+  FragmentPlan plan;
+  if (bits <= 0) {
+    plan.units_.push_back(FragmentUnit{&r, s, 0});
+    return plan;
+  }
+  plan.fragment_bits_ = bits;
+  GPUJOIN_ASSIGN_OR_RETURN(plan.owned_r_, PartitionHostByKeyRadix(r, bits));
+  if (s != nullptr) {
+    GPUJOIN_ASSIGN_OR_RETURN(plan.owned_s_, PartitionHostByKeyRadix(*s, bits));
+  }
+  for (int f = 0; f < (1 << bits); ++f) {
+    // An empty side contributes no join rows (or no groups).
+    if (plan.owned_r_[f].num_rows() == 0 ||
+        (s != nullptr && plan.owned_s_[f].num_rows() == 0)) {
+      continue;
+    }
+    plan.units_.push_back(FragmentUnit{
+        &plan.owned_r_[f], s != nullptr ? &plan.owned_s_[f] : nullptr, f});
+  }
+  return plan;
+}
+
+int DeriveFragmentBits(uint64_t bytes, double budget_bytes, int min_bits,
+                       int max_bits) {
+  if (budget_bytes <= 0) return min_bits;
+  int bits = min_bits;
+  while (bits < max_bits &&
+         static_cast<double>(bytes) / static_cast<double>(1u << bits) >
+             budget_bytes) {
     ++bits;
   }
   return bits;
@@ -81,7 +104,11 @@ Result<OutOfCoreRunResult> RunOutOfCoreJoin(vgpu::Device& device, JoinAlgo algo,
   // device budget (join working state takes the rest of the capacity).
   int bits = options.fragment_bits;
   if (bits <= 0) {
-    bits = DeriveFragmentBits(device, r, s, options.device_budget_fraction);
+    bits = DeriveFragmentBits(
+        r.device_bytes() + s.device_bytes(),
+        static_cast<double>(device.config().global_mem_bytes) *
+            options.device_budget_fraction,
+        1, 16);
   }
   if (bits > 20) {
     return Status::InvalidArgument("RunOutOfCoreJoin: fragment_bits too large");
@@ -95,10 +122,8 @@ Result<OutOfCoreRunResult> RunOutOfCoreJoin(vgpu::Device& device, JoinAlgo algo,
   const double dev_t0 = device.ElapsedSeconds();
   const auto host_t0 = std::chrono::steady_clock::now();
 
-  GPUJOIN_ASSIGN_OR_RETURN(std::vector<HostTable> r_frags,
-                           PartitionHostByKeyRadix(r, bits));
-  GPUJOIN_ASSIGN_OR_RETURN(std::vector<HostTable> s_frags,
-                           PartitionHostByKeyRadix(s, bits));
+  GPUJOIN_ASSIGN_OR_RETURN(FragmentPlan plan,
+                           FragmentPlan::ForJoin(r, s, bits));
 
   double host_partition_s = std::chrono::duration<double>(
                                 std::chrono::steady_clock::now() - host_t0)
@@ -109,20 +134,18 @@ Result<OutOfCoreRunResult> RunOutOfCoreJoin(vgpu::Device& device, JoinAlgo algo,
   out.name = "out_of_core_join_result";
 
   double host_merge_s = 0;
-  for (int f = 0; f < res.fragments; ++f) {
-    if (r_frags[f].num_rows() == 0 || s_frags[f].num_rows() == 0) continue;
+  for (const FragmentUnit& u : plan.units()) {
     // Fragment boundary: a cancel request or deadline trip stops the stream
     // before the next fragment's upload is charged.
     GPUJOIN_RETURN_IF_ERROR(obs::CheckLifecycle(device));
     obs::TraceSpan frag_span(device, "fragment",
-                             "fragment_" + std::to_string(f));
-    const uint64_t up_bytes =
-        r_frags[f].device_bytes() + s_frags[f].device_bytes();
+                             "fragment_" + std::to_string(u.index));
+    const uint64_t up_bytes = u.r->device_bytes() + u.s->device_bytes();
     device.ChargeHostTransfer(vgpu::TransferDirection::kHostToDevice, up_bytes);
     res.bytes_transferred += up_bytes;
 
-    GPUJOIN_ASSIGN_OR_RETURN(Table rd, Table::FromHost(device, r_frags[f]));
-    GPUJOIN_ASSIGN_OR_RETURN(Table sd, Table::FromHost(device, s_frags[f]));
+    GPUJOIN_ASSIGN_OR_RETURN(Table rd, Table::FromHost(device, *u.r));
+    GPUJOIN_ASSIGN_OR_RETURN(Table sd, Table::FromHost(device, *u.s));
     GPUJOIN_ASSIGN_OR_RETURN(JoinRunResult jr,
                              RunJoin(device, algo, rd, sd, options.join));
 

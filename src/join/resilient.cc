@@ -18,13 +18,13 @@ namespace {
 /// sizing so the retry rung escalates from the actual starting point.
 int InitialPartitionBits(const vgpu::Device& device, const HostTable& r,
                          const JoinOptions& opts) {
-  if (opts.radix_bits_override > 0) {
-    return std::min(opts.radix_bits_override, 16);
-  }
-  const uint64_t capacity = r.columns[0].type == DataType::kInt32
-                                ? prim::SharedHashCapacity<int32_t>(device)
-                                : prim::SharedHashCapacity<int64_t>(device);
-  return ChoosePartitionBits<int64_t>(r.num_rows(), capacity);
+  return r.columns[0].type == DataType::kInt32
+             ? SizePartitions<int32_t>(device, r.num_rows(),
+                                       opts.radix_bits_override)
+                   .radix_bits
+             : SizePartitions<int64_t>(device, r.num_rows(),
+                                       opts.radix_bits_override)
+                   .radix_bits;
 }
 
 }  // namespace
@@ -84,7 +84,11 @@ Result<ResilientJoinResult> RunJoinResilient(vgpu::Device& device,
     if (oopts.fragment_bits >= 20) return std::nullopt;
     oopts.fragment_bits =
         oopts.fragment_bits == 0
-            ? DeriveFragmentBits(device, r, s, oopts.device_budget_fraction)
+            ? DeriveFragmentBits(
+                  r.device_bytes() + s.device_bytes(),
+                  static_cast<double>(device.config().global_mem_bytes) *
+                      oopts.device_budget_fraction,
+                  1, 16)
             : std::min(oopts.fragment_bits + 2, 20);
     return DegradationStep{"out_of_core_fallback",
                            "in-memory failed (" + failure.message() +

@@ -31,15 +31,8 @@ Result<SemiJoinRunResult> SemiJoinDriver(vgpu::Device& device, JoinAlgo algo,
   const vgpu::DeviceBuffer<K>& r_keys = *r_keys_ptr;
   const vgpu::DeviceBuffer<K>& s_keys = *s_keys_ptr;
 
-  const uint64_t capacity = prim::SharedHashCapacity<K>(device);
-  int radix_bits = opts.radix_bits_override > 0
-                       ? opts.radix_bits_override
-                       : ChoosePartitionBits<K>(r.num_rows(), capacity);
-  radix_bits = std::min(radix_bits, 16);
-  const uint32_t bucket_elems =
-      opts.bucket_elems_override > 0
-          ? opts.bucket_elems_override
-          : static_cast<uint32_t>(std::min<uint64_t>(capacity, 4096));
+  const auto [capacity, radix_bits, bits1, bits2, bucket_elems] =
+      SizePartitions<K>(device, r.num_rows(), opts.radix_bits_override);
 
   SemiJoinRunResult res;
   const double t0 = device.ElapsedSeconds();
@@ -53,14 +46,12 @@ Result<SemiJoinRunResult> SemiJoinDriver(vgpu::Device& device, JoinAlgo algo,
   const bool is_smj = algo == JoinAlgo::kSmjUm || algo == JoinAlgo::kSmjOm;
 
   if (algo == JoinAlgo::kPhjUm) {
-    GPUJOIN_ASSIGN_OR_RETURN(
-        auto rl, prim::BuildBucketChainLayout(
-                     device, r_keys, std::min(8, std::max(1, (radix_bits + 1) / 2)),
-                     std::min(8, radix_bits - (radix_bits + 1) / 2), bucket_elems));
-    GPUJOIN_ASSIGN_OR_RETURN(
-        auto sl, prim::BuildBucketChainLayout(
-                     device, s_keys, std::min(8, std::max(1, (radix_bits + 1) / 2)),
-                     std::min(8, radix_bits - (radix_bits + 1) / 2), bucket_elems));
+    GPUJOIN_ASSIGN_OR_RETURN(auto rl, prim::BuildBucketChainLayout(
+                                          device, r_keys, bits1, bits2,
+                                          bucket_elems));
+    GPUJOIN_ASSIGN_OR_RETURN(auto sl, prim::BuildBucketChainLayout(
+                                          device, s_keys, bits1, bits2,
+                                          bucket_elems));
     GPUJOIN_ASSIGN_OR_RETURN(
         auto ids, vgpu::DeviceBuffer<RowId>::Allocate(device, s.num_rows()));
     GPUJOIN_RETURN_IF_ERROR(prim::Iota(device, &ids));
@@ -122,23 +113,25 @@ Result<SemiJoinRunResult> SemiJoinDriver(vgpu::Device& device, JoinAlgo algo,
     vgpu::KernelScope ks(device, "semi_flag_scatter");
     const int warp = device.config().warp_size;
     uint64_t addrs[32];
+    uint64_t id_addrs[32];
     const uint64_t m = match.count();
     device.LoadSeq(match.s_pos.addr(), m, sizeof(RowId));
+    // NPHJ emits original positions; the others map a match position back
+    // to the original row id through the transformed id column.
+    const vgpu::DeviceBuffer<RowId>* ids =
+        algo == JoinAlgo::kNphj  ? nullptr
+        : algo == JoinAlgo::kPhjUm ? &s_bc_ids
+                                   : &ts_ids;
     for (uint64_t i = 0; i < m; i += warp) {
       const uint32_t lanes = static_cast<uint32_t>(std::min<uint64_t>(warp, m - i));
       for (uint32_t l = 0; l < lanes; ++l) {
         const RowId pos = match.s_pos[i + l];
-        RowId orig;
-        if (algo == JoinAlgo::kNphj) {
-          orig = pos;  // Global hash join emits original positions.
-        } else if (algo == JoinAlgo::kPhjUm) {
-          orig = s_bc_ids[pos];
-        } else {
-          orig = ts_ids[pos];
-        }
+        const RowId orig = ids == nullptr ? pos : (*ids)[pos];
+        if (ids != nullptr) id_addrs[l] = ids->addr(pos);
         flags[orig] = 1;
         addrs[l] = flags.addr(orig);
       }
+      if (ids != nullptr) device.Load({id_addrs, lanes}, sizeof(RowId));
       device.Store({addrs, lanes}, 1);
     }
   }

@@ -13,6 +13,7 @@
 #include "common/bit_util.h"
 #include "common/status.h"
 #include "prim/gather.h"
+#include "prim/hash_join.h"
 #include "prim/radix_partition.h"
 #include "storage/column.h"
 #include "vgpu/buffer.h"
@@ -140,6 +141,34 @@ int ChoosePartitionBits(uint64_t build_rows, uint64_t capacity) {
   if (build_rows <= capacity) return 1;
   int bits = bit_util::Log2Ceil(bit_util::CeilDiv(build_rows, capacity));
   return std::clamp(bits, 1, 16);
+}
+
+/// How the partitioned joins partition: the shared-memory hash-table
+/// capacity, the total radix bits (ChoosePartitionBits unless overridden,
+/// at most 16), their split over the two passes (at most 8 bits each), and
+/// PHJ-UM's chain bucket size.
+struct PartitionSizing {
+  uint64_t capacity = 0;
+  int radix_bits = 0;
+  int bits1 = 0;
+  int bits2 = 0;
+  uint32_t bucket_elems = 0;
+};
+
+/// `radix_bits_override` > 0 replaces the derived total bits.
+template <typename K>
+PartitionSizing SizePartitions(const vgpu::Device& device, uint64_t build_rows,
+                               int radix_bits_override) {
+  PartitionSizing p;
+  p.capacity = prim::SharedHashCapacity<K>(device);
+  p.radix_bits = std::min(radix_bits_override > 0
+                              ? radix_bits_override
+                              : ChoosePartitionBits<K>(build_rows, p.capacity),
+                          16);
+  p.bits1 = std::min(8, std::max(1, (p.radix_bits + 1) / 2));
+  p.bits2 = std::min(8, p.radix_bits - p.bits1);
+  p.bucket_elems = static_cast<uint32_t>(std::min<uint64_t>(p.capacity, 4096));
+  return p;
 }
 
 }  // namespace gpujoin::join

@@ -1,5 +1,6 @@
 #include "ops/operator.h"
 
+#include <initializer_list>
 #include <utility>
 
 #include "cpux/groupby.h"
@@ -46,30 +47,23 @@ Status ValidateGroupByOp(const GroupByOp& op) {
   return Status::OK();
 }
 
-}  // namespace
-
-Result<OperatorRunResult> VgpuProvider::RunJoin(const JoinOp& op) {
-  GPUJOIN_RETURN_IF_ERROR(ValidateJoinOp(op));
-  vgpu::Device& dev = *device_;
+/// One vgpu operator end to end: PCIe-charged uploads of `uploads` (one
+/// transfer setup each), `body` — a resilient device operator from host
+/// tables to a host result — and a PCIe-charged download of its output.
+template <typename Body>
+Result<OperatorRunResult> RunOnDevice(vgpu::Device& dev, const char* op,
+                                      std::initializer_list<uint64_t> uploads,
+                                      const Body& body) {
   dev.ResetPeakMemory();
   const uint64_t launches0 = dev.kernels_launched();
   const vgpu::KernelStats stats0 = dev.total_stats();
   const double t0 = dev.ElapsedSeconds();
-
-  // Upload both inputs over the simulated link (one transfer setup each).
-  dev.ChargeHostTransfer(vgpu::TransferDirection::kHostToDevice,
-                         op.r->device_bytes());
-  dev.ChargeHostTransfer(vgpu::TransferDirection::kHostToDevice,
-                         op.s->device_bytes());
+  for (const uint64_t bytes : uploads) {
+    dev.ChargeHostTransfer(vgpu::TransferDirection::kHostToDevice, bytes);
+  }
   const double t_up = dev.ElapsedSeconds();
-
-  join::ResilienceOptions ropts;
-  ropts.join = op.options;
-  GPUJOIN_ASSIGN_OR_RETURN(
-      join::ResilientJoinResult run,
-      join::RunJoinResilient(dev, op.algo, *op.r, *op.s, ropts));
+  GPUJOIN_ASSIGN_OR_RETURN(auto run, body());
   const double t_run = dev.ElapsedSeconds();
-
   dev.ChargeHostTransfer(vgpu::TransferDirection::kDeviceToHost,
                          run.output.device_bytes());
   const double t_down = dev.ElapsedSeconds();
@@ -88,64 +82,14 @@ Result<OperatorRunResult> VgpuProvider::RunJoin(const JoinOp& op) {
   res.attempts = run.attempts;
   res.degradation = std::move(run.degradation);
   obs::MetricsRegistry& reg = obs::MetricsRegistry::Global();
-  reg.CounterAdd("ops_executed_total", {{"op", "join"}, {"backend", "vgpu"}});
-  reg.CounterAdd("vgpu_kernel_launches_total", {{"op", "join"}},
+  reg.CounterAdd("ops_executed_total", {{"op", op}, {"backend", "vgpu"}});
+  reg.CounterAdd("vgpu_kernel_launches_total", {{"op", op}},
                  dev.kernels_launched() - launches0);
   return res;
 }
 
-Result<OperatorRunResult> VgpuProvider::RunGroupBy(const GroupByOp& op) {
-  GPUJOIN_RETURN_IF_ERROR(ValidateGroupByOp(op));
-  vgpu::Device& dev = *device_;
-  dev.ResetPeakMemory();
-  const uint64_t launches0 = dev.kernels_launched();
-  const vgpu::KernelStats stats0 = dev.total_stats();
-  const double t0 = dev.ElapsedSeconds();
-
-  dev.ChargeHostTransfer(vgpu::TransferDirection::kHostToDevice,
-                         op.input->device_bytes());
-  GPUJOIN_ASSIGN_OR_RETURN(Table input, Table::FromHost(dev, *op.input));
-  const double t_up = dev.ElapsedSeconds();
-
-  groupby::GroupByResilienceOptions ropts;
-  ropts.groupby = op.options;
-  GPUJOIN_ASSIGN_OR_RETURN(
-      groupby::ResilientGroupByResult run,
-      groupby::RunGroupByResilient(dev, op.algo, input, op.spec, ropts));
-  const double t_run = dev.ElapsedSeconds();
-
-  OperatorRunResult res;
-  res.output = run.run.output.ToHost();
-  dev.ChargeHostTransfer(vgpu::TransferDirection::kDeviceToHost,
-                         res.output.device_bytes());
-  const double t_down = dev.ElapsedSeconds();
-
-  res.output_rows = run.run.num_groups;
-  res.backend = Backend::kVgpu;
-  res.seconds = t_down - t0;
-  res.peak_mem_bytes = dev.memory_stats().peak_bytes;
-  res.phases.transform_s = t_up - t0;
-  res.phases.match_s = t_run - t_up;
-  res.phases.materialize_s = t_down - t_run;
-  res.stats = dev.total_stats();
-  res.stats.Sub(stats0);
-  res.attempts = run.attempts;
-  res.degradation = std::move(run.degradation);
-  obs::MetricsRegistry& reg = obs::MetricsRegistry::Global();
-  reg.CounterAdd("ops_executed_total",
-                 {{"op", "groupby"}, {"backend", "vgpu"}});
-  reg.CounterAdd("vgpu_kernel_launches_total", {{"op", "groupby"}},
-                 dev.kernels_launched() - launches0);
-  return res;
-}
-
-Result<OperatorRunResult> CpuxProvider::RunJoin(const JoinOp& op) {
-  GPUJOIN_RETURN_IF_ERROR(ValidateJoinOp(op));
-  cpux::CpuxOptions copts;
-  copts.radix_bits_override = op.options.radix_bits_override;
-  GPUJOIN_ASSIGN_OR_RETURN(cpux::CpuxRunResult run,
-                           cpux::RunJoin(*ctx_, op.algo, *op.r, *op.s, copts));
-
+/// A cpux engine run as the provider-neutral result.
+OperatorRunResult FromCpux(cpux::CpuxRunResult run) {
   OperatorRunResult res;
   res.output = std::move(run.output);
   res.output_rows = run.output_rows;
@@ -156,8 +100,39 @@ Result<OperatorRunResult> CpuxProvider::RunJoin(const JoinOp& op) {
   res.phases.transform_s = run.phases.transform_wall_s;
   res.phases.match_s = run.phases.match_wall_s;
   res.phases.materialize_s = run.phases.materialize_wall_s;
-  RecordRun("join", run.wall_seconds);
   return res;
+}
+
+}  // namespace
+
+Result<OperatorRunResult> VgpuProvider::RunJoin(const JoinOp& op) {
+  GPUJOIN_RETURN_IF_ERROR(ValidateJoinOp(op));
+  join::ResilienceOptions ropts;
+  ropts.join = op.options;
+  return RunOnDevice(
+      *device_, "join", {op.r->device_bytes(), op.s->device_bytes()}, [&] {
+        return join::RunJoinResilient(*device_, op.algo, *op.r, *op.s, ropts);
+      });
+}
+
+Result<OperatorRunResult> VgpuProvider::RunGroupBy(const GroupByOp& op) {
+  GPUJOIN_RETURN_IF_ERROR(ValidateGroupByOp(op));
+  groupby::GroupByResilienceOptions ropts;
+  ropts.groupby = op.options;
+  return RunOnDevice(*device_, "groupby", {op.input->device_bytes()}, [&] {
+    return groupby::RunGroupByResilient(*device_, op.algo, *op.input, op.spec,
+                                        ropts);
+  });
+}
+
+Result<OperatorRunResult> CpuxProvider::RunJoin(const JoinOp& op) {
+  GPUJOIN_RETURN_IF_ERROR(ValidateJoinOp(op));
+  cpux::CpuxOptions copts;
+  copts.radix_bits_override = op.options.radix_bits_override;
+  GPUJOIN_ASSIGN_OR_RETURN(cpux::CpuxRunResult run,
+                           cpux::RunJoin(*ctx_, op.algo, *op.r, *op.s, copts));
+  RecordRun("join", run.wall_seconds);
+  return FromCpux(std::move(run));
 }
 
 Result<OperatorRunResult> CpuxProvider::RunGroupBy(const GroupByOp& op) {
@@ -167,19 +142,8 @@ Result<OperatorRunResult> CpuxProvider::RunGroupBy(const GroupByOp& op) {
   GPUJOIN_ASSIGN_OR_RETURN(
       cpux::CpuxRunResult run,
       cpux::RunGroupBy(*ctx_, op.algo, *op.input, op.spec, copts));
-
-  OperatorRunResult res;
-  res.output = std::move(run.output);
-  res.output_rows = run.output_rows;
-  res.backend = Backend::kCpux;
-  res.seconds = run.wall_seconds;
-  res.host_cpu_seconds = run.cpu_seconds;
-  res.peak_mem_bytes = run.peak_bytes;
-  res.phases.transform_s = run.phases.transform_wall_s;
-  res.phases.match_s = run.phases.match_wall_s;
-  res.phases.materialize_s = run.phases.materialize_wall_s;
   RecordRun("groupby", run.wall_seconds);
-  return res;
+  return FromCpux(std::move(run));
 }
 
 void CpuxProvider::RecordRun(const char* op, double wall_seconds) {

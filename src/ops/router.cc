@@ -11,6 +11,30 @@ namespace gpujoin::ops {
 
 namespace {
 
+/// Calibrated per-backend cost curves. The cpux rates were measured on the
+/// bench_hyb1_crossover workload (Release, single worker); the vgpu rates
+/// come from the committed fig17 baselines. They steer ROUTING only —
+/// nothing correctness-critical — and the router's acceptance bar is "auto
+/// lands within 5% of the best backend at every measured scale", which
+/// tolerates generous calibration error around the crossover.
+struct CostModel {
+  /// Fixed cpux cost per operator (allocator + pool wakeup), seconds.
+  double cpux_fixed_s = 5e-6;
+  /// cpux throughput at one thread, input tuples per host second.
+  double cpux_join_tuples_per_sec = 60e6;
+  double cpux_groupby_tuples_per_sec = 60e6;
+  /// Incremental efficiency of each added cpux worker (1 = linear).
+  double cpux_thread_scaling = 0.7;
+  /// vgpu device-side throughput, input tuples per simulated second.
+  double vgpu_join_tuples_per_sec = 2500e6;
+  double vgpu_groupby_tuples_per_sec = 2500e6;
+  /// Kernel launches a typical operator issues (each pays
+  /// launch_overhead_cycles).
+  double kernels_per_join = 14;
+  double kernels_per_groupby = 8;
+};
+constexpr CostModel kCost{};
+
 std::string Sci(double v) {
   char buf[32];
   std::snprintf(buf, sizeof(buf), "%.3e", v);
@@ -24,9 +48,9 @@ double TransferSeconds(const vgpu::DeviceConfig& config, uint64_t bytes) {
 }
 
 /// Projected cpux tuples/second at the configured worker count.
-double CpuxRate(double single_thread_rate, const CostModel& cost, int threads) {
+double CpuxRate(double single_thread_rate, int threads) {
   const int extra = threads > 1 ? threads - 1 : 0;
-  return single_thread_rate * (1.0 + cost.cpux_thread_scaling * extra);
+  return single_thread_rate * (1.0 + kCost.cpux_thread_scaling * extra);
 }
 
 /// Whether cpux can run over this table at all (the engines are
@@ -90,10 +114,8 @@ void ApplyQuarantine(RouteDecision* d, const RouterOptions& options,
 }  // namespace
 
 RouterOptions RouterOptions::FromEnv(RouterOptions base) {
-  const char* env = std::getenv("GPUJOIN_BACKEND");
-  if (env != nullptr && env[0] != '\0') {
-    Result<Backend> parsed = ParseBackend(env);
-    if (parsed.ok()) base.force = *parsed;
+  if (Result<Backend> env = BackendFromEnv(base.force); env.ok()) {
+    base.force = *env;
   }
   return base;
 }
@@ -112,18 +134,15 @@ RouteDecision RouteJoin(const JoinOp& op, const vgpu::DeviceConfig& config,
   d.memory = stats::EstimateJoinMemory(*op.r, *op.s);
   const double tuples =
       static_cast<double>(op.r->num_rows() + op.s->num_rows());
-  const CostModel& cost = options.cost;
-
   d.cpux_seconds =
-      cost.cpux_fixed_s +
-      tuples / CpuxRate(cost.cpux_join_tuples_per_sec, cost,
-                        options.cpux_threads);
+      kCost.cpux_fixed_s +
+      tuples / CpuxRate(kCost.cpux_join_tuples_per_sec, options.cpux_threads);
   d.vgpu_seconds = TransferSeconds(config, op.r->device_bytes()) +
                    TransferSeconds(config, op.s->device_bytes()) +
                    TransferSeconds(config, d.memory.output_bytes) +
-                   config.CyclesToSeconds(cost.kernels_per_join *
+                   config.CyclesToSeconds(kCost.kernels_per_join *
                                           config.launch_overhead_cycles) +
-                   tuples / cost.vgpu_join_tuples_per_sec;
+                   tuples / kCost.vgpu_join_tuples_per_sec;
 
   std::string guard;
   const bool eligible = CpuxEligibleJoin(op, &guard);
@@ -139,18 +158,15 @@ RouteDecision RouteGroupBy(const GroupByOp& op,
   d.memory = stats::EstimateGroupByMemory(
       *op.input, static_cast<int>(op.spec.aggregates.size()));
   const double tuples = static_cast<double>(op.input->num_rows());
-  const CostModel& cost = options.cost;
-
-  d.cpux_seconds =
-      cost.cpux_fixed_s +
-      tuples / CpuxRate(cost.cpux_groupby_tuples_per_sec, cost,
-                        options.cpux_threads);
+  d.cpux_seconds = kCost.cpux_fixed_s +
+                   tuples / CpuxRate(kCost.cpux_groupby_tuples_per_sec,
+                                     options.cpux_threads);
   d.vgpu_seconds =
       TransferSeconds(config, op.input->device_bytes()) +
       TransferSeconds(config, d.memory.output_bytes) +
-      config.CyclesToSeconds(cost.kernels_per_groupby *
+      config.CyclesToSeconds(kCost.kernels_per_groupby *
                              config.launch_overhead_cycles) +
-      tuples / cost.vgpu_groupby_tuples_per_sec;
+      tuples / kCost.vgpu_groupby_tuples_per_sec;
 
   std::string guard;
   const bool eligible = CpuxEligibleGroupBy(op, &guard);
@@ -222,7 +238,7 @@ Result<OperatorRunResult> Router::RunRouted(const RouteDecision& decision,
   const Status& st = first.status();
   const bool resource = st.IsResourceExhausted() ||
                         st.code() == StatusCode::kOutOfMemory;
-  if (!options_.allow_fallback || !resource) {
+  if (!resource) {
     record_op(decision.backend, nullptr);
     return first;
   }
@@ -262,24 +278,18 @@ Result<OperatorRunResult> Router::RunRouted(const RouteDecision& decision,
 }
 
 Result<OperatorRunResult> Router::RunJoin(const JoinOp& op) {
-  GPUJOIN_RETURN_IF_ERROR([&] {
-    if (op.r == nullptr || op.s == nullptr) {
-      return Status::InvalidArgument("router join missing input table(s)");
-    }
-    return Status::OK();
-  }());
+  if (op.r == nullptr || op.s == nullptr) {
+    return Status::InvalidArgument("router join missing input table(s)");
+  }
   const RouteDecision decision = RouteJoin(op, device_->config(), options_);
   return RunRouted(decision, &op, nullptr,
                    std::string("join:") + join::JoinAlgoName(op.algo));
 }
 
 Result<OperatorRunResult> Router::RunGroupBy(const GroupByOp& op) {
-  GPUJOIN_RETURN_IF_ERROR([&] {
-    if (op.input == nullptr) {
-      return Status::InvalidArgument("router groupby missing input table");
-    }
-    return Status::OK();
-  }());
+  if (op.input == nullptr) {
+    return Status::InvalidArgument("router groupby missing input table");
+  }
   const RouteDecision decision = RouteGroupBy(op, device_->config(), options_);
   return RunRouted(decision, nullptr, &op,
                    std::string("groupby:") +

@@ -11,8 +11,9 @@
 //
 // The estimates are pure functions of tuple counts, byte estimates
 // (stats::EstimateJoinMemory / EstimateGroupByMemory), the device config,
-// and calibrated constants — never of wall time — so the same query gets
-// the same plan on every run and at every GPUJOIN_SIM_THREADS setting.
+// and calibrated constants (kCost in router.cc) — never of wall time — so
+// the same query gets the same plan on every run and at every
+// GPUJOIN_SIM_THREADS setting.
 //
 // Cross-backend OOM fallback: when the chosen backend exhausts its ladder
 // with ResourceExhausted/OutOfMemory, the router reruns the operator on the
@@ -35,36 +36,9 @@
 
 namespace gpujoin::ops {
 
-/// Calibrated per-backend cost curves. The cpux rates were measured on the
-/// bench_hyb1_crossover workload (Release, single worker); the vgpu rates
-/// come from the committed fig17 baselines. They steer ROUTING only —
-/// nothing correctness-critical — and the router's acceptance bar is "auto
-/// lands within 5% of the best backend at every measured scale", which
-/// tolerates generous calibration error around the crossover.
-struct CostModel {
-  /// Fixed cpux cost per operator (allocator + pool wakeup), seconds.
-  double cpux_fixed_s = 5e-6;
-  /// cpux throughput at one thread, input tuples per host second.
-  double cpux_join_tuples_per_sec = 60e6;
-  double cpux_groupby_tuples_per_sec = 60e6;
-  /// Incremental efficiency of each added cpux worker (1 = linear).
-  double cpux_thread_scaling = 0.7;
-
-  /// vgpu device-side throughput, input tuples per simulated second.
-  double vgpu_join_tuples_per_sec = 2500e6;
-  double vgpu_groupby_tuples_per_sec = 2500e6;
-  /// Kernel launches a typical operator issues (each pays
-  /// launch_overhead_cycles).
-  double kernels_per_join = 14;
-  double kernels_per_groupby = 8;
-};
-
 struct RouterOptions {
   /// kAuto = cost-based choice; anything else forces that backend.
   Backend force = Backend::kAuto;
-  CostModel cost;
-  /// Enable the cross-backend OOM fallback rung.
-  bool allow_fallback = true;
   /// Worker threads assumed/used for the cpux backend.
   int cpux_threads = 1;
 

@@ -22,17 +22,6 @@ uint64_t SplitMix64(uint64_t x) {
   return x ^ (x >> 31);
 }
 
-/// Whether the cpux engines can run this table at all (integer-only, row
-/// ids fit 32 bits) — the hedge guard for forced-backend requests. The
-/// router applies the same guard internally on the kAuto path.
-bool CpuxCanRun(const HostTable* t) {
-  if (t == nullptr) return true;
-  for (const HostColumn& col : t->columns) {
-    if (col.is_string()) return false;
-  }
-  return t->num_rows() < uint64_t{0xFFFFFFFF};
-}
-
 /// Whether the table's key column is a string (such a key cannot be split).
 bool HasStringKey(const HostTable* t) {
   return t != nullptr && !t->columns.empty() && t->columns[0].is_string();
@@ -57,7 +46,7 @@ QueryService::QueryService(vgpu::Device& device, ServiceOptions options)
                         : device.config().global_mem_bytes),
       max_queue_(options.max_queue),
       backoff_(options.backoff),
-      sched_(options.scheduler),
+      sched_seed_(options.scheduler.seed),
       default_backend_(options.default_backend),
       cpux_threads_(std::max(1, options.cpux_threads)),
       transient_retry_limit_(std::max(0, options.transient_retry_limit)),
@@ -111,16 +100,14 @@ stats::MemoryEstimate QueryService::Estimate(const QueryRequest& request) const 
 
 int QueryService::ResolveFragmentBits(const QueryRequest& request,
                                       uint64_t need) const {
-  const int cap = std::max(0, sched_.max_fragment_bits);
   if (request.fragment_bits_override >= 0) {
-    return std::min(request.fragment_bits_override, cap);
+    return std::min(request.fragment_bits_override, kMaxFragmentBits);
   }
   // The automatic policy runs a string-keyed query as one fragment.
-  if (!sched_.interleave || HasStringKey(request.r) || HasStringKey(request.s)) {
-    return 0;
-  }
-  return DeriveScheduleFragmentBits(need, budget_bytes_,
-                                    sched_.fragment_target_fraction, cap);
+  if (HasStringKey(request.r) || HasStringKey(request.s)) return 0;
+  return join::DeriveFragmentBits(
+      need, static_cast<double>(budget_bytes_) * kFragmentTargetFraction, 0,
+      kMaxFragmentBits);
 }
 
 size_t QueryService::QueuedCount() const {
@@ -208,10 +195,10 @@ Result<int> QueryService::Submit(QueryRequest request) {
   }
 
   const int bits = ResolveFragmentBits(request, need);
-  Result<FragmentPlan> plan =
+  Result<join::FragmentPlan> plan =
       request.kind == QueryKind::kJoin
-          ? FragmentPlan::ForJoin(*request.r, *request.s, bits)
-          : FragmentPlan::ForGroupBy(*request.r, bits);
+          ? join::FragmentPlan::ForJoin(*request.r, *request.s, bits)
+          : join::FragmentPlan::ForGroupBy(*request.r, bits);
   GPUJOIN_RETURN_IF_ERROR(plan.status());
 
   Run run;
@@ -412,106 +399,61 @@ ops::CpuxProvider& QueryService::Cpux() {
   return *cpux_;
 }
 
-bool QueryService::ResolveUseCpux(const QueryRequest& request,
-                                  const FragmentUnit& unit,
+bool QueryService::ResolveUseCpux(const Run& run, const UnitOp& op,
                                   std::string* label) {
+  // Forced, costed and hedged placement are all the router's: a pure
+  // function of tuple counts, the device config, and breaker state driven
+  // by the simulated clock — so replays and every GPUJOIN_SIM_THREADS
+  // setting pick the same backend.
   const double now = device_.elapsed_cycles();
-  // Hedge-decision double entry: metered here, once per hedged resolution;
-  // the executing side meters service_hedged_fragments_total once per
-  // hedged turn. The two totals reconcile after every Drain.
-  const auto record_hedge = [&](ops::Backend to) {
-    obs::MetricsRegistry::Global().CounterAdd(
-        "service_hedge_decisions_total", {{"to", ops::BackendName(to)}});
-  };
-  const ops::Backend want = request.backend.value_or(default_backend_);
-  if (want != ops::Backend::kAuto) {
-    // A forced backend still hedges off an open breaker: pinning a
-    // fragment to a quarantined backend would just burn its transient
-    // retry budget. Eligibility still binds (strings stay on vgpu).
-    const ops::Backend other = want == ops::Backend::kCpux
-                                   ? ops::Backend::kVgpu
-                                   : ops::Backend::kCpux;
-    const bool other_viable =
-        other == ops::Backend::kVgpu ||
-        (CpuxCanRun(unit.r) &&
-         (request.kind != QueryKind::kJoin || CpuxCanRun(unit.s)));
-    if (health_.Quarantined(want, now) && other_viable &&
-        !health_.Quarantined(other, now)) {
-      *label = std::string("hedge:") + ops::BackendName(other);
-      record_hedge(other);
-      return other == ops::Backend::kCpux;
-    }
-    *label = ops::BackendName(want);
-    return want == ops::Backend::kCpux;
-  }
-  // Cost-based route per fragment unit: pure function of tuple counts, the
-  // device config, and breaker state driven by the simulated clock — so
-  // replays and every GPUJOIN_SIM_THREADS setting pick the same backend.
   ops::RouterOptions ropts;
+  ropts.force = run.request.backend.value_or(default_backend_);
   ropts.cpux_threads = cpux_threads_;
   ropts.quarantined = [this, now](ops::Backend b) {
     return health_.Quarantined(b, now);
   };
-  ops::RouteDecision decision;
-  if (request.kind == QueryKind::kJoin) {
-    ops::JoinOp op;
-    op.algo = request.join_algo;
-    op.options = request.join_options.join;
-    op.r = unit.r;
-    op.s = unit.s;
-    decision = ops::RouteJoin(op, device_.config(), ropts);
-  } else {
-    ops::GroupByOp op;
-    op.algo = request.groupby_algo;
-    op.spec = request.groupby_spec;
-    op.options = request.groupby_options.groupby;
-    op.input = unit.r;
-    decision = ops::RouteGroupBy(op, device_.config(), ropts);
-  }
+  const ops::RouteDecision decision =
+      run.request.kind == QueryKind::kJoin
+          ? ops::RouteJoin(op.join, device_.config(), ropts)
+          : ops::RouteGroupBy(op.groupby, device_.config(), ropts);
+  const std::string chosen = ops::BackendName(decision.backend);
   if (decision.reason == "quarantined") {
-    *label = std::string("hedge:") + ops::BackendName(decision.backend);
-    record_hedge(decision.backend);
+    *label = "hedge:" + chosen;
+    // Hedge-decision double entry: metered here, once per hedged
+    // resolution; the executing side meters service_hedged_fragments_total
+    // once per hedged turn. The two totals reconcile after every Drain.
+    obs::MetricsRegistry::Global().CounterAdd("service_hedge_decisions_total",
+                                              {{"to", chosen}});
   } else {
-    *label = std::string("auto:") + ops::BackendName(decision.backend);
+    *label = decision.reason == "forced" ? chosen : "auto:" + chosen;
   }
   return decision.backend == ops::Backend::kCpux;
 }
 
-Status QueryService::RunUnit(Run& run, bool use_cpux,
+Status QueryService::RunUnit(Run& run, const UnitOp& op, bool use_cpux,
                              ops::Backend* executed) {
-  const FragmentUnit& u = run.plan.units()[run.next_unit];
+  const join::FragmentUnit& u = run.plan.units()[run.next_unit];
   const QueryRequest& req = run.request;
+  const bool is_join = req.kind == QueryKind::kJoin;
   QueryOutcome& out = outcomes_[run.id];
   HostTable part;
   uint64_t part_rows = 0;
-  bool ran_on_cpux = false;
+  // Every backend's result carries output, output_rows and attempts.
+  const auto take = [&](auto& result) {
+    out.attempts = std::max(out.attempts, result.attempts);
+    part = std::move(result.output);
+    part_rows = result.output_rows;
+  };
   *executed = use_cpux ? ops::Backend::kCpux : ops::Backend::kVgpu;
 
   if (use_cpux) {
     // Host-side execution: zero simulated cycles, no PCIe charges. A cpux
     // resource failure is the cross-backend fallback rung — the fragment
     // re-runs on the vgpu resilient path below.
-    Result<ops::OperatorRunResult> rr = [&]() {
-      if (req.kind == QueryKind::kJoin) {
-        ops::JoinOp op;
-        op.algo = req.join_algo;
-        op.options = req.join_options.join;
-        op.r = u.r;
-        op.s = u.s;
-        return Cpux().RunJoin(op);
-      }
-      ops::GroupByOp op;
-      op.algo = req.groupby_algo;
-      op.spec = req.groupby_spec;
-      op.options = req.groupby_options.groupby;
-      op.input = u.r;
-      return Cpux().RunGroupBy(op);
-    }();
+    Result<ops::OperatorRunResult> rr =
+        is_join ? Cpux().RunJoin(op.join) : Cpux().RunGroupBy(op.groupby);
     if (rr.ok()) {
-      out.attempts = std::max(out.attempts, rr->attempts);
-      part = std::move(rr->output);
-      part_rows = rr->output_rows;
-      ran_on_cpux = true;
+      take(*rr);
     } else if (rr.status().code() == StatusCode::kResourceExhausted ||
                rr.status().code() == StatusCode::kOutOfMemory) {
       obs::TraceInstant(device_, "backend_fallback",
@@ -528,42 +470,28 @@ Status QueryService::RunUnit(Run& run, bool use_cpux,
     }
   }
 
-  if (!ran_on_cpux && req.kind == QueryKind::kJoin) {
+  if (*executed == ops::Backend::kVgpu) {
+    // Fragment streaming is modelled like the out-of-core path: the unit's
+    // inputs cross PCIe up, the partial result crosses down.
     if (run.plan.fragmented()) {
-      // Fragment streaming is modelled like the out-of-core path: the
-      // co-fragment pair crosses PCIe up, the partial result crosses down.
       device_.ChargeHostTransfer(
           vgpu::TransferDirection::kHostToDevice,
-          u.r->device_bytes() + u.s->device_bytes());
+          u.r->device_bytes() + (is_join ? u.s->device_bytes() : 0));
       GPUJOIN_RETURN_IF_ERROR(obs::CheckLifecycle(device_));
     }
-    Result<join::ResilientJoinResult> jr = join::RunJoinResilient(
-        device_, req.join_algo, *u.r, *u.s, req.join_options);
-    GPUJOIN_RETURN_IF_ERROR(jr.status());
-    out.attempts = std::max(out.attempts, jr->attempts);
-    part = std::move(jr->output);
-    part_rows = jr->output_rows;
-    if (run.plan.fragmented()) {
-      device_.ChargeHostTransfer(vgpu::TransferDirection::kDeviceToHost,
-                                 part.device_bytes());
+    if (is_join) {
+      GPUJOIN_ASSIGN_OR_RETURN(
+          join::ResilientJoinResult jr,
+          join::RunJoinResilient(device_, req.join_algo, *u.r, *u.s,
+                                 req.join_options));
+      take(jr);
+    } else {
+      GPUJOIN_ASSIGN_OR_RETURN(
+          groupby::ResilientGroupByResult gr,
+          groupby::RunGroupByResilient(device_, req.groupby_algo, *u.r,
+                                       req.groupby_spec, req.groupby_options));
+      take(gr);
     }
-  } else if (!ran_on_cpux) {
-    if (run.plan.fragmented()) {
-      device_.ChargeHostTransfer(vgpu::TransferDirection::kHostToDevice,
-                                 u.r->device_bytes());
-      GPUJOIN_RETURN_IF_ERROR(obs::CheckLifecycle(device_));
-    }
-    // Upload, aggregate, download. The device-resident tables must die
-    // inside this call so the post-turn watermark check sees a clean
-    // device.
-    GPUJOIN_ASSIGN_OR_RETURN(Table input, Table::FromHost(device_, *u.r));
-    Result<groupby::ResilientGroupByResult> gr = groupby::RunGroupByResilient(
-        device_, req.groupby_algo, input, req.groupby_spec,
-        req.groupby_options);
-    GPUJOIN_RETURN_IF_ERROR(gr.status());
-    out.attempts = std::max(out.attempts, gr->attempts);
-    part = gr->run.output.ToHost();
-    part_rows = gr->run.num_groups;
     if (run.plan.fragmented()) {
       device_.ChargeHostTransfer(vgpu::TransferDirection::kDeviceToHost,
                                  part.device_bytes());
@@ -660,21 +588,25 @@ Status QueryService::RunFragmentTurn(Run& run, std::vector<Run>& batch,
   // higher tiers nested, and this fragment then continues where it
   // stopped. The nested interval is not this query's work.
   double nested_cycles = 0;
-  if (sched_.interleave) {
-    run.control.set_preempt_hook([this, &batch, &run, &nested_cycles] {
-      const double t0 = device_.elapsed_cycles();
-      RunNested(batch, run);
-      nested_cycles += device_.elapsed_cycles() - t0;
-      run.control.set_preempt_at_cycles(
-          NextPreemptAt(batch, run.request.priority));
-    });
+  run.control.set_preempt_hook([this, &batch, &run, &nested_cycles] {
+    const double t0 = device_.elapsed_cycles();
+    RunNested(batch, run);
+    nested_cycles += device_.elapsed_cycles() - t0;
     run.control.set_preempt_at_cycles(
         NextPreemptAt(batch, run.request.priority));
-  }
+  });
+  run.control.set_preempt_at_cycles(
+      NextPreemptAt(batch, run.request.priority));
 
+  // Built once per turn: the router routes it and the cpux provider runs it.
+  const QueryRequest& req = run.request;
+  const join::FragmentUnit& unit = run.plan.units()[run.next_unit];
+  const UnitOp op{
+      ops::JoinOp{req.join_algo, req.join_options.join, unit.r, unit.s},
+      ops::GroupByOp{req.groupby_algo, req.groupby_spec,
+                     req.groupby_options.groupby, unit.r}};
   std::string backend_label;
-  const bool use_cpux = ResolveUseCpux(
-      run.request, run.plan.units()[run.next_unit], &backend_label);
+  const bool use_cpux = ResolveUseCpux(run, op, &backend_label);
   // Keep a "->vgpu" fallback record from an earlier fragment visible.
   if (out.backend.rfind(backend_label, 0) != 0) out.backend = backend_label;
   obs::MetricsRegistry& reg = obs::MetricsRegistry::Global();
@@ -704,7 +636,7 @@ Status QueryService::RunFragmentTurn(Run& run, std::vector<Run>& batch,
                                   std::to_string(run.plan.units().size()));
     span.Annotate("backend", backend_label);
     vgpu::LifecycleScope scope(device_, run.control);
-    st = RunUnit(run, use_cpux, &executed);
+    st = RunUnit(run, op, use_cpux, &executed);
   }
   run.control.set_preempt_hook(nullptr);
   run.control.set_preempt_at_cycles(kInf);
@@ -845,7 +777,6 @@ void QueryService::RecordTerminal(const QueryOutcome& out) {
 Status QueryService::RunPasses(std::vector<Run>& batch,
                                std::optional<int> floor) {
   uint64_t pass = 0;
-  const double quantum = std::max(sched_.quantum_cycles, 1.0);
   for (;;) {
     ProcessArrivals(batch);
 
@@ -913,7 +844,7 @@ Status QueryService::RunPasses(std::vector<Run>& batch,
       return false;
     };
 
-    if (sched_.interleave && members.size() > 1) {
+    if (members.size() > 1) {
       if (memory_starved_above()) {
         // Shortest-remaining-first, sticky across broken passes:
         // the most advanced member keeps the focus until it frees its
@@ -929,7 +860,7 @@ Status QueryService::RunPasses(std::vector<Run>& batch,
         // favor low submission ids, but must replay identically for a
         // given seed.
         const size_t offset = static_cast<size_t>(
-            SplitMix64(sched_.seed ^ pass) % members.size());
+            SplitMix64(sched_seed_ ^ pass) % members.size());
         std::rotate(members.begin(), members.begin() + offset,
                     members.end());
       }
@@ -943,23 +874,19 @@ Status QueryService::RunPasses(std::vector<Run>& batch,
     bool break_pass = false;
     for (Run* q : members) {
       if (q->done || !q->reserved) continue;
-      if (sched_.interleave) {
-        // Deficit-weighted round-robin: service share proportional to the
-        // reserved bytes (a tenant that reserves more gets more device
-        // time per pass), clamped so one huge reservation cannot own a
-        // whole pass.
-        const double weight = std::clamp(
-            static_cast<double>(std::max<uint64_t>(q->need, 1)) /
-                static_cast<double>(min_need),
-            1.0, 4.0);
-        q->deficit += quantum * weight;
-      }
-      while (!q->done && (!sched_.interleave || q->deficit > 0 ||
-                          memory_starved_above())) {
+      // Deficit-weighted round-robin: service share proportional to the
+      // reserved bytes (a tenant that reserves more gets more device time
+      // per pass), clamped so one huge reservation cannot own a whole pass.
+      const double weight = std::clamp(
+          static_cast<double>(std::max<uint64_t>(q->need, 1)) /
+              static_cast<double>(min_need),
+          1.0, 4.0);
+      q->deficit += kQuantumCycles * weight;
+      while (!q->done && (q->deficit > 0 || memory_starved_above())) {
         double turn_cycles = 0;
         GPUJOIN_RETURN_IF_ERROR(RunFragmentTurn(*q, batch, &turn_cycles));
         GPUJOIN_RETURN_IF_ERROR(nested_error_);
-        if (sched_.interleave) q->deficit -= turn_cycles;
+        q->deficit -= turn_cycles;
         // The turn may have admitted queued work or reached an arrival
         // that outranks this tier (one due at the turn's last cycle, or
         // during a cpux turn that advances no clock); if so, restart the

@@ -16,9 +16,9 @@
 //     queue) or kTenantOverQuota (tenant quota, borrow allowance, or
 //     tenant queue) admission error.
 //
-// Drain() no longer runs admitted queries to completion in admission
-// order: each query is decomposed into resumable fragments at the existing
-// lifecycle seams (service/fragments.h) and a deficit-weighted round-robin
+// Drain() does not run admitted queries to completion in admission order:
+// each query is decomposed into resumable fragments at the existing
+// lifecycle seams (join::FragmentPlan) and a deficit-weighted round-robin
 // — weighted by each query's reserved bytes — interleaves fragments of all
 // runnable queries, so a long scan cannot starve short lookups. Strict
 // priority tiers ride on top, and preemption is work-conserving: when a
@@ -55,8 +55,8 @@
 #include "common/status.h"
 #include "groupby/resilient.h"
 #include "join/resilient.h"
+#include "join/out_of_core.h"
 #include "ops/router.h"
-#include "service/fragments.h"
 #include "service/health.h"
 #include "service/tenant.h"
 #include "stats/estimator.h"
@@ -130,8 +130,8 @@ struct QueryRequest {
   /// estimators). Lets external planners override the reservation size.
   uint64_t estimate_bytes_override = 0;
   /// Fragment decomposition override: -1 = scheduler policy
-  /// (SchedulerOptions), 0 = force a single fragment, >0 = force 2^n
-  /// fragments. Capped at SchedulerOptions::max_fragment_bits.
+  /// (kFragmentTargetFraction), 0 = force a single fragment, >0 = force
+  /// 2^n fragments. Capped at kMaxFragmentBits.
   int fragment_bits_override = -1;
 };
 
@@ -202,28 +202,24 @@ struct QueryOutcome {
   uint64_t kernels_launched = 0;
 };
 
-/// Scheduler policy knobs. Defaults interleave with a quantum comparable
-/// to a small fragment's cost; legacy run-to-completion admission order is
-/// `interleave = false`.
+/// Deficit quantum in simulated cycles credited per round-robin pass. Sized
+/// near one fragment turn's cost (PCIe up + body + PCIe down) at test
+/// scale, so a pass grants each runnable query a fragment or two — a
+/// quantum much larger than the workload degenerates to run-to-completion.
+inline constexpr double kQuantumCycles = 25'000;
+/// Auto-fragmentation target: a query whose estimate exceeds this fraction
+/// of the budget is split until the per-fragment share fits
+/// (join::DeriveFragmentBits).
+inline constexpr double kFragmentTargetFraction = 0.25;
+/// Cap on fragment bits (auto and per-request overrides).
+inline constexpr int kMaxFragmentBits = 6;
+
+/// Scheduler policy: deficit-weighted round-robin under strict priority
+/// tiers, with work-conserving preemption.
 struct SchedulerOptions {
-  /// false = run each admitted query to completion in admission order (the
-  /// pre-scheduler behavior; no preemption, no interleaving).
-  bool interleave = true;
-  /// Deficit quantum in simulated cycles credited per round-robin pass.
-  /// Sized near one fragment turn's cost (PCIe up + body + PCIe down) at
-  /// test scale, so a pass grants each runnable query a fragment or two —
-  /// a quantum much larger than the workload degenerates to
-  /// run-to-completion.
-  double quantum_cycles = 25'000;
   /// Seed for the pass-rotation tie-break (which runnable query a pass
   /// starts at), so equal-deficit ties do not always favor low ids.
   uint64_t seed = 0x5eedc0ffee15600dull;
-  /// Auto-fragmentation target: a query whose estimate exceeds this
-  /// fraction of the budget is split until the per-fragment share fits
-  /// (see DeriveScheduleFragmentBits). <= 0 disables auto-fragmentation.
-  double fragment_target_fraction = 0.25;
-  /// Cap on fragment bits (auto and per-request overrides).
-  int max_fragment_bits = 6;
 };
 
 struct ServiceOptions {
@@ -329,7 +325,7 @@ class QueryService {
   struct Run {
     int id = 0;
     QueryRequest request;
-    FragmentPlan plan;
+    join::FragmentPlan plan;
     size_t next_unit = 0;
     double deficit = 0;
     uint64_t need = 0;
@@ -389,17 +385,25 @@ class QueryService {
   /// work. Returns Internal on a broken invariant (leak), OK otherwise.
   Status RunFragmentTurn(Run& run, std::vector<Run>& batch,
                          double* own_cycles);
+  /// The current fragment unit as an operator: what the router routes and
+  /// the cpux provider runs. Only the member matching the request kind is
+  /// used.
+  struct UnitOp {
+    ops::JoinOp join;
+    ops::GroupByOp groupby;
+  };
   /// One fragment body: upload → operate → download on the current unit
   /// (or a host-side cpux run when `use_cpux`, with vgpu OOM fallback).
   /// `executed` reports the backend the unit actually ran on (differs from
   /// the resolved one when the cpux → vgpu OOM fallback fires).
-  Status RunUnit(Run& run, bool use_cpux, ops::Backend* executed);
-  /// Resolves the executing backend for one fragment unit (request override
-  /// → service default → cost-based route, hedged off a quarantined
-  /// backend) and names it for telemetry ("hedge:<backend>" when hedged).
+  Status RunUnit(Run& run, const UnitOp& op, bool use_cpux,
+                 ops::Backend* executed);
+  /// Routes one fragment unit through ops::RouteJoin/RouteGroupBy (request
+  /// override → service default → cost; hedged off a quarantined backend)
+  /// and names the choice for telemetry: "<backend>" when forced,
+  /// "auto:<backend>" when costed, "hedge:<backend>" when hedged.
   /// Non-const: consulting the breaker can move it open → half-open.
-  bool ResolveUseCpux(const QueryRequest& request, const FragmentUnit& unit,
-                      std::string* label);
+  bool ResolveUseCpux(const Run& run, const UnitOp& op, std::string* label);
   /// The lazily created service-owned cpux provider.
   ops::CpuxProvider& Cpux();
   void Finalize(Run& run, Status status);
@@ -415,7 +419,7 @@ class QueryService {
   uint64_t budget_bytes_ = 0;
   size_t max_queue_ = 0;
   BackoffPolicy backoff_;
-  SchedulerOptions sched_;
+  uint64_t sched_seed_ = 0;
   ops::Backend default_backend_ = ops::Backend::kVgpu;
   int cpux_threads_ = 1;
   int transient_retry_limit_ = 8;

@@ -200,20 +200,22 @@ class DegradationLadderGroupByTest : public ::testing::Test {
       expected = join::CanonicalRows(ref.output.ToHost());
     }
     {
-      ASSERT_OK_AND_ASSIGN(Table t, Table::FromHost(device, input_));
       groupby::GroupByResilienceOptions ropts;
       ropts.groupby = opts;
       groupby::ResilientGroupByResult res;
       const LadderRecord rec = Record([&] {
-        device.set_fault_injector(vgpu::FaultInjector::FailNth(1));
-        res = groupby::RunGroupByResilient(device, algo, t, gspec_, ropts)
+        // The upload allocates one buffer per column; fail the first
+        // allocation after it.
+        device.set_fault_injector(
+            vgpu::FaultInjector::FailNth(input_.columns.size() + 1));
+        res = groupby::RunGroupByResilient(device, algo, input_, gspec_, ropts)
                   .ValueOrDie();
         device.clear_fault_injector();
       });
       ASSERT_FALSE(res.degradation.empty());
       EXPECT_EQ(res.degradation[0].action, action);
       ExpectUniform(rec, "groupby", res.degradation);
-      EXPECT_EQ(join::CanonicalRows(res.run.output.ToHost()), expected);
+      EXPECT_EQ(join::CanonicalRows(res.output), expected);
     }
     ASSERT_OK(device.CheckNoLeaks());
   }

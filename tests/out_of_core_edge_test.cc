@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <string>
 #include <vector>
 
 #include "join/out_of_core.h"
@@ -93,19 +94,72 @@ TEST(OutOfCoreValidationTest, EmptyInputsRejected) {
 TEST(DeriveFragmentBitsTest, MatchesBudgetPolicy) {
   const workload::JoinWorkload w = SmallWorkload();
   vgpu::Device device = MakeTestDevice();
+  // The out-of-core stream's policy: [1, 16] bits against a fraction of the
+  // device memory.
+  const auto bits_for = [&](double frac) {
+    return DeriveFragmentBits(
+        w.r.device_bytes() + w.s.device_bytes(),
+        static_cast<double>(device.config().global_mem_bytes) * frac, 1, 16);
+  };
   // Tiny inputs against a test device: one doubling suffices.
-  EXPECT_EQ(DeriveFragmentBits(device, w.r, w.s, 1.0), 1);
+  EXPECT_EQ(bits_for(1.0), 1);
   // Shrinking the budget monotonically raises the derived bits.
   int prev = 0;
   for (const double frac : {1.0, 0.1, 0.01, 0.001}) {
-    const int bits = DeriveFragmentBits(device, w.r, w.s, frac);
+    const int bits = bits_for(frac);
     EXPECT_GE(bits, prev);
     EXPECT_GE(bits, 1);
     EXPECT_LE(bits, 16);
     prev = bits;
   }
   // Budget so small the cap binds.
-  EXPECT_EQ(DeriveFragmentBits(device, w.r, w.s, 1e-12), 16);
+  EXPECT_EQ(bits_for(1e-12), 16);
+}
+
+TEST(DeriveFragmentBitsTest, ReproducesTheStreamAndSchedulerPolicies) {
+  // The two policies the single function replaced, as they were written.
+  const auto stream_policy = [](uint64_t total, uint64_t mem, double frac) {
+    const double budget = static_cast<double>(mem) * frac;
+    int bits = 1;
+    while (bits < 16 &&
+           static_cast<double>(total) / static_cast<double>(1u << bits) >
+               budget) {
+      ++bits;
+    }
+    return bits;
+  };
+  const auto schedule_policy = [](uint64_t need, uint64_t budget, double frac,
+                                  int max_bits) {
+    if (max_bits <= 0 || frac <= 0 || budget == 0) return 0;
+    const double target = static_cast<double>(budget) * frac;
+    int bits = 0;
+    while (bits < max_bits &&
+           static_cast<double>(need) / static_cast<double>(1u << bits) >
+               target) {
+      ++bits;
+    }
+    return bits;
+  };
+  const uint64_t sizes[] = {0,         1,          255,          1000,
+                            4096,      (1u << 20) + 7, uint64_t{3} << 28,
+                            uint64_t{1} << 40};
+  for (const uint64_t bytes : sizes) {
+    for (const uint64_t budget : sizes) {
+      for (const double frac : {0.0, 0.001, 0.2, 0.25, 0.5, 1.0}) {
+        SCOPED_TRACE(std::to_string(bytes) + " B, budget " +
+                     std::to_string(budget) + " x " + std::to_string(frac));
+        const double scaled = static_cast<double>(budget) * frac;
+        if (budget > 0 && frac > 0) {
+          EXPECT_EQ(DeriveFragmentBits(bytes, scaled, 1, 16),
+                    stream_policy(bytes, budget, frac));
+        }
+        for (const int max_bits : {0, 1, 6}) {
+          EXPECT_EQ(DeriveFragmentBits(bytes, scaled, 0, max_bits),
+                    schedule_policy(bytes, budget, frac, max_bits));
+        }
+      }
+    }
+  }
 }
 
 TEST(OutOfCoreMinCapacityTest, BarelySufficientDeviceCompletes) {

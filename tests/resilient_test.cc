@@ -133,15 +133,14 @@ TEST(ResilientGroupByTest, FirstAttemptSucceedsWithoutDegradation) {
   groupby::GroupBySpec gspec;
   gspec.aggregates.push_back({1, groupby::AggOp::kSum});
   {
-    ASSERT_OK_AND_ASSIGN(Table t, Table::FromHost(device, input));
     ASSERT_OK_AND_ASSIGN(groupby::ResilientGroupByResult res,
                          groupby::RunGroupByResilient(
-                             device, groupby::GroupByAlgo::kHashGlobal, t,
+                             device, groupby::GroupByAlgo::kHashGlobal, input,
                              gspec));
     EXPECT_EQ(res.attempts, 1);
     EXPECT_EQ(res.algo_used, groupby::GroupByAlgo::kHashGlobal);
     EXPECT_TRUE(res.degradation.empty());
-    EXPECT_GT(res.run.num_groups, 0u);
+    EXPECT_GT(res.output_rows, 0u);
   }
   ASSERT_OK(device.CheckNoLeaks());
 }
@@ -170,20 +169,21 @@ TEST(ResilientGroupByTest, HashGlobalFallsBackToPartitioned) {
   ASSERT_OK(device.CheckNoLeaks());
 
   {
-    ASSERT_OK_AND_ASSIGN(Table t, Table::FromHost(device, input));
-    // HASH-GLOBAL's first allocation (the global table) fails once; the
-    // ladder should land on HASH-PARTITIONED and agree with the reference.
-    device.set_fault_injector(vgpu::FaultInjector::FailNth(1));
+    // HASH-GLOBAL's first allocation (the global table, right after the
+    // one-buffer-per-column upload) fails once; the ladder should land on
+    // HASH-PARTITIONED and agree with the reference.
+    device.set_fault_injector(
+        vgpu::FaultInjector::FailNth(input.columns.size() + 1));
     ASSERT_OK_AND_ASSIGN(groupby::ResilientGroupByResult res,
                          groupby::RunGroupByResilient(
-                             device, groupby::GroupByAlgo::kHashGlobal, t,
+                             device, groupby::GroupByAlgo::kHashGlobal, input,
                              gspec));
     device.clear_fault_injector();
     EXPECT_EQ(res.algo_used, groupby::GroupByAlgo::kHashPartitioned);
     EXPECT_GT(res.attempts, 1);
     ASSERT_FALSE(res.degradation.empty());
     EXPECT_EQ(res.degradation[0].action, "algo_fallback");
-    EXPECT_EQ(join::CanonicalRows(res.run.output.ToHost()), expected);
+    EXPECT_EQ(join::CanonicalRows(res.output), expected);
   }
   ASSERT_OK(device.CheckNoLeaks());
 }
@@ -197,10 +197,11 @@ TEST(ResilientGroupByTest, ExhaustedLadderReturnsStructuredError) {
   groupby::GroupBySpec gspec;
   gspec.aggregates.push_back({1, groupby::AggOp::kSum});
   {
-    ASSERT_OK_AND_ASSIGN(Table t, Table::FromHost(device, input));
-    device.set_fault_injector(vgpu::FaultInjector::FailAfterBytes(0));
+    // The byte budget covers exactly the upload.
+    device.set_fault_injector(
+        vgpu::FaultInjector::FailAfterBytes(input.device_bytes()));
     Result<groupby::ResilientGroupByResult> res = groupby::RunGroupByResilient(
-        device, groupby::GroupByAlgo::kHashGlobal, t, gspec);
+        device, groupby::GroupByAlgo::kHashGlobal, input, gspec);
     ASSERT_FALSE(res.ok());
     EXPECT_EQ(res.status().code(), StatusCode::kResourceExhausted);
     EXPECT_NE(res.status().message().find("degradation ladder"),
@@ -550,17 +551,15 @@ TEST_P(KernelFaultGroupBySweep, EveryKernelFaultIsAbsorbedAndReplaysIdentically)
 
   vgpu::Device device = MakeTestDevice();
 
-  // Fault-free baseline. The injector is armed AFTER the upload, so kernel
-  // numbering spans only the resilient call; the upload runs fault-free in
-  // every iteration (its kernels are outside the wrapper's retry scope).
+  // Fault-free baseline. The upload launches no kernel, so kernel numbering
+  // spans only the aggregation attempts.
   std::vector<std::vector<int64_t>> base_rows;
   uint64_t base_kernels = 0;
   {
-    ASSERT_OK_AND_ASSIGN(Table t, Table::FromHost(device, input));
     const uint64_t k0 = device.kernels_launched();
     ASSERT_OK_AND_ASSIGN(groupby::ResilientGroupByResult res,
-                         groupby::RunGroupByResilient(device, algo, t, gspec));
-    base_rows = join::CanonicalRows(res.run.output.ToHost());
+                         groupby::RunGroupByResilient(device, algo, input, gspec));
+    base_rows = join::CanonicalRows(res.output);
     base_kernels = device.kernels_launched() - k0;
   }
   ASSERT_OK(device.CheckNoLeaks());
@@ -573,10 +572,9 @@ TEST_P(KernelFaultGroupBySweep, EveryKernelFaultIsAbsorbedAndReplaysIdentically)
     double faulted_cycles = 0;
     uint64_t faulted_kernels = 0;
     {
-      ASSERT_OK_AND_ASSIGN(Table t, Table::FromHost(device, input));
       device.set_fault_injector(vgpu::FaultInjector::FailNthKernel(k));
       ASSERT_OK_AND_ASSIGN(groupby::ResilientGroupByResult res,
-                           groupby::RunGroupByResilient(device, algo, t, gspec));
+                           groupby::RunGroupByResilient(device, algo, input, gspec));
       EXPECT_EQ(device.fault_injector().injected_kernel_faults(), 1u);
       bool retried = false;
       for (const DegradationStep& step : res.degradation) {
@@ -584,7 +582,7 @@ TEST_P(KernelFaultGroupBySweep, EveryKernelFaultIsAbsorbedAndReplaysIdentically)
       }
       EXPECT_TRUE(retried) << "fault at kernel " << k
                            << " never reached the transient rung";
-      EXPECT_EQ(join::CanonicalRows(res.run.output.ToHost()), base_rows);
+      EXPECT_EQ(join::CanonicalRows(res.output), base_rows);
       faulted_cycles = device.elapsed_cycles();
       faulted_kernels = device.kernels_launched();
     }
@@ -592,11 +590,10 @@ TEST_P(KernelFaultGroupBySweep, EveryKernelFaultIsAbsorbedAndReplaysIdentically)
 
     ASSERT_OK(device.Reset());
     {
-      ASSERT_OK_AND_ASSIGN(Table t, Table::FromHost(device, input));
       device.set_fault_injector(vgpu::FaultInjector::FailNthKernel(k));
       ASSERT_OK_AND_ASSIGN(groupby::ResilientGroupByResult replay,
-                           groupby::RunGroupByResilient(device, algo, t, gspec));
-      EXPECT_EQ(join::CanonicalRows(replay.run.output.ToHost()), base_rows);
+                           groupby::RunGroupByResilient(device, algo, input, gspec));
+      EXPECT_EQ(join::CanonicalRows(replay.output), base_rows);
       EXPECT_EQ(device.kernels_launched(), faulted_kernels);
       EXPECT_EQ(device.elapsed_cycles(), faulted_cycles);
     }

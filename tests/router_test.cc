@@ -180,21 +180,6 @@ TEST(Router, CpuxOomFallsBackToVgpu) {
   EXPECT_OK(device.CheckNoLeaks());
 }
 
-TEST(Router, FallbackDisabledSurfacesTheFirstError) {
-  const workload::JoinWorkload w = MustJoinInput(1 << 8, 1 << 9);
-  vgpu::Device device = MakeTestDevice();
-  device.set_fault_injector(vgpu::FaultInjector::FailAfterBytes(0));
-  ops::RouterOptions opts;
-  opts.force = ops::Backend::kVgpu;
-  opts.allow_fallback = false;
-  ops::Router router(device, opts);
-  const Result<ops::OperatorRunResult> res = router.RunJoin(MakeJoinOp(w));
-  ASSERT_FALSE(res.ok());
-  EXPECT_EQ(res.status().code(), StatusCode::kResourceExhausted)
-      << res.status().ToString();
-  EXPECT_OK(device.CheckNoLeaks());
-}
-
 TEST(Router, ExplainShowsBackendAndCostEstimates) {
   obs::Tracer::Global().Clear();
   obs::Tracer::Global().set_enabled(true);

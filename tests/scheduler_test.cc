@@ -20,7 +20,7 @@
 #include "obs/explain.h"
 #include "obs/registry.h"
 #include "obs/trace.h"
-#include "service/fragments.h"
+#include "join/out_of_core.h"
 #include "service/query_service.h"
 #include "storage/table.h"
 #include "test_util.h"
@@ -30,6 +30,8 @@
 namespace gpujoin::service {
 namespace {
 
+using ::gpujoin::join::FragmentPlan;
+using ::gpujoin::join::FragmentUnit;
 using ::gpujoin::testing::MakeTestDevice;
 
 workload::JoinWorkload JoinWorkloadOf(uint64_t r_rows, uint64_t s_rows,
@@ -206,12 +208,13 @@ TEST(FragmentPlanTest, SingleFragmentAliasesCallerTables) {
 }
 
 TEST(FragmentPlanTest, DeriveBitsScalesWithPressure) {
-  EXPECT_EQ(DeriveScheduleFragmentBits(100, 1000, 0.25, 6), 0);
-  EXPECT_EQ(DeriveScheduleFragmentBits(500, 1000, 0.25, 6), 1);
-  EXPECT_EQ(DeriveScheduleFragmentBits(1000, 1000, 0.25, 6), 2);
-  EXPECT_EQ(DeriveScheduleFragmentBits(1u << 20, 1000, 0.25, 6), 6);  // Cap.
-  EXPECT_EQ(DeriveScheduleFragmentBits(1u << 20, 1000, 0.25, 0), 0);
-  EXPECT_EQ(DeriveScheduleFragmentBits(1u << 20, 1000, 0, 6), 0);
+  // The scheduler's policy: [0, 6] bits against a quarter of the budget.
+  EXPECT_EQ(join::DeriveFragmentBits(100, 1000 * 0.25, 0, 6), 0);
+  EXPECT_EQ(join::DeriveFragmentBits(500, 1000 * 0.25, 0, 6), 1);
+  EXPECT_EQ(join::DeriveFragmentBits(1000, 1000 * 0.25, 0, 6), 2);
+  EXPECT_EQ(join::DeriveFragmentBits(1u << 20, 1000 * 0.25, 0, 6), 6);  // Cap.
+  EXPECT_EQ(join::DeriveFragmentBits(1u << 20, 1000 * 0.25, 0, 0), 0);
+  EXPECT_EQ(join::DeriveFragmentBits(1u << 20, 1000 * 0.0, 0, 6), 0);
 }
 
 // ---------------------------------------------------------------------------
@@ -250,16 +253,15 @@ TEST(SchedulerTest, FragmentedGroupByMatchesDirectRowMultiset) {
   uint64_t direct_groups = 0;
   uint64_t direct_sum = 0;
   {
-    ASSERT_OK_AND_ASSIGN(Table input, Table::FromHost(direct_dev, g));
     groupby::GroupBySpec spec;
     spec.aggregates.push_back({1, groupby::AggOp::kSum});
     ASSERT_OK_AND_ASSIGN(
         groupby::ResilientGroupByResult direct,
         groupby::RunGroupByResilient(direct_dev,
                                      groupby::GroupByAlgo::kHashPartitioned,
-                                     input, spec, {}));
-    direct_groups = direct.run.num_groups;
-    direct_sum = UnorderedRowChecksum(direct.run.output.ToHost());
+                                     g, spec, {}));
+    direct_groups = direct.output_rows;
+    direct_sum = UnorderedRowChecksum(direct.output);
   }
 
   vgpu::Device device = MakeTestDevice();
@@ -361,31 +363,23 @@ TEST(SchedulerTest, InterleavingLetsShortQueryFinishFirst) {
   const workload::JoinWorkload hog = JoinWorkloadOf(1 << 11, 1 << 12, 43);
   const workload::JoinWorkload small = JoinWorkloadOf(1 << 7, 1 << 8, 47);
 
-  auto run = [&](bool interleave) {
-    vgpu::Device device = MakeTestDevice();
-    ServiceOptions options;
-    options.scheduler.interleave = interleave;
-    QueryService service(device, options);
-    QueryRequest a = JoinRequest(hog, "hog");
-    a.fragment_bits_override = 3;
-    QueryRequest b = JoinRequest(small, "small");
-    b.fragment_bits_override = 0;
-    const int hog_id = service.Submit(std::move(a)).ValueOrDie();
-    const int small_id = service.Submit(std::move(b)).ValueOrDie();
-    EXPECT_TRUE(service.Drain().ok());
-    EXPECT_TRUE(service.outcome(hog_id).status.ok());
-    EXPECT_TRUE(service.outcome(small_id).status.ok());
-    EXPECT_TRUE(device.CheckNoLeaks().ok());
-    return std::pair<double, double>(service.outcome(hog_id).finished_at_cycles,
-                                     service.outcome(small_id).finished_at_cycles);
-  };
-
-  // Legacy mode: strict admission order, the hog completes first.
-  const auto [legacy_hog, legacy_small] = run(false);
-  EXPECT_LT(legacy_hog, legacy_small);
-  // Interleaved: the short query slips between hog fragments.
-  const auto [dwrr_hog, dwrr_small] = run(true);
-  EXPECT_LT(dwrr_small, dwrr_hog);
+  vgpu::Device device = MakeTestDevice();
+  QueryService service(device);
+  QueryRequest a = JoinRequest(hog, "hog");
+  a.fragment_bits_override = 3;
+  QueryRequest b = JoinRequest(small, "small");
+  b.fragment_bits_override = 0;
+  // The hog is submitted first, yet the short query slips between its
+  // fragments and completes first.
+  const int hog_id = service.Submit(std::move(a)).ValueOrDie();
+  const int small_id = service.Submit(std::move(b)).ValueOrDie();
+  ASSERT_OK(service.Drain());
+  ASSERT_OK(service.outcome(hog_id).status);
+  ASSERT_OK(service.outcome(small_id).status);
+  EXPECT_EQ(service.outcome(hog_id).fragments_total, 8);
+  EXPECT_LT(service.outcome(small_id).finished_at_cycles,
+            service.outcome(hog_id).finished_at_cycles);
+  ASSERT_OK(device.CheckNoLeaks());
 }
 
 /// One query run alone on a fresh device: its ordered output checksum and

@@ -105,6 +105,32 @@ TEST_P(SemiJoinTest, DuplicateMatchesDoNotDuplicateOutput) {
   EXPECT_EQ(res->output_rows, 2u);  // Keys 1 and 2, each once.
 }
 
+TEST_P(SemiJoinTest, FlagScatterChargesTheIdLookup) {
+  // The flag scatter reads each match's S position; every machinery but
+  // NPHJ (which emits original positions) then reads the original row id
+  // at that position, and that read is charged too.
+  workload::JoinWorkloadSpec spec;
+  spec.r_rows = 1024;
+  spec.s_rows = 4096;
+  spec.match_ratio = 0.5;
+  auto w = workload::GenerateJoinInput(spec).ValueOrDie();
+  std::multiset<int64_t> r_keys(w.r.columns[0].values.begin(),
+                                w.r.columns[0].values.end());
+  uint64_t matches = 0;
+  for (int64_t k : w.s.columns[0].values) matches += r_keys.count(k);
+  ASSERT_GT(matches, 0u);
+
+  vgpu::Device device = MakeTestDevice();
+  auto r = Table::FromHost(device, w.r).ValueOrDie();
+  auto s = Table::FromHost(device, w.s).ValueOrDie();
+  ASSERT_OK(RunSemiJoin(device, GetParam(), r, s, SemiJoinType::kSemi));
+  const vgpu::KernelProfile p = device.profiler().ProfileFor("semi_flag_scatter");
+  ASSERT_EQ(p.invocations, 1u);
+  const uint64_t reads_per_match =
+      GetParam() == JoinAlgo::kNphj ? 1 : 2;  // Position (+ row id).
+  EXPECT_EQ(p.stats.bytes_read, reads_per_match * matches * sizeof(RowId));
+}
+
 INSTANTIATE_TEST_SUITE_P(AllAlgos, SemiJoinTest,
                          ::testing::ValuesIn(join::kAllJoinAlgos),
                          [](const ::testing::TestParamInfo<JoinAlgo>& i) {

@@ -14,7 +14,6 @@
 #include "join/out_of_core.h"
 #include "join/reference.h"
 #include "ops/operator.h"
-#include "service/fragments.h"
 #include "service/query_service.h"
 #include "stats/estimator.h"
 #include "storage/table.h"
@@ -154,9 +153,9 @@ TEST(StringSplitTest, StringKeyIsRefusedWhereverASplitIsRequested) {
   EXPECT_EQ(oc.status().code(), StatusCode::kInvalidArgument);
   ASSERT_OK(device.CheckNoLeaks());
 
-  EXPECT_EQ(service::FragmentPlan::ForGroupBy(r, 1).status().code(),
+  EXPECT_EQ(join::FragmentPlan::ForGroupBy(r, 1).status().code(),
             StatusCode::kInvalidArgument);
-  EXPECT_OK(service::FragmentPlan::ForGroupBy(r, 0).status());
+  EXPECT_OK(join::FragmentPlan::ForGroupBy(r, 0).status());
 
   service::QueryService service(device);
   service::QueryRequest req;
@@ -182,10 +181,11 @@ TEST(StringSplitTest, StringKeyRunsWholeWhereThePolicyWouldSplit) {
   // A budget this tight makes the automatic policy ask for a split.
   service::ServiceOptions options;
   options.budget_bytes = 2 * stats::EstimateJoinMemory(r, s).total_bytes();
-  ASSERT_GT(service::DeriveScheduleFragmentBits(
-                options.budget_bytes / 2, options.budget_bytes,
-                options.scheduler.fragment_target_fraction,
-                options.scheduler.max_fragment_bits),
+  ASSERT_GT(join::DeriveFragmentBits(
+                options.budget_bytes / 2,
+                static_cast<double>(options.budget_bytes) *
+                    service::kFragmentTargetFraction,
+                0, service::kMaxFragmentBits),
             0);
   for (join::JoinAlgo algo : join::kAllJoinAlgos) {
     SCOPED_TRACE(join::JoinAlgoName(algo));
